@@ -10,6 +10,13 @@ import numpy as np
 from repro.dsp.filters import amplitude_to_db, db_to_amplitude, rms
 
 
+def require_finite(values: np.ndarray, what: str) -> np.ndarray:
+    """Return ``values``; raise ``ValueError`` if any is NaN or Inf (public-boundary guard)."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} contains NaN or Inf values")
+    return values
+
+
 @dataclass
 class AudioSignal:
     """A mono audio signal: samples plus a sample rate.

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.audio.signal import AudioSignal
+from repro.audio.signal import AudioSignal, require_finite
 from repro.channel.recorder import Recorder, SceneSource
 from repro.channel.ultrasound import UltrasoundSpeaker
 from repro.core.config import NECConfig
@@ -99,6 +99,8 @@ class NECSystem:
         """
         if not reference_audios:
             raise ValueError("enrollment requires at least one reference audio")
+        for audio in reference_audios:
+            require_finite(audio.data if isinstance(audio, AudioSignal) else audio, "reference audio")
         self._embedding = self.encoder.embed(reference_audios)
         return self._embedding
 
@@ -112,7 +114,9 @@ class NECSystem:
         because the embedding bytes are exactly the ones :meth:`enroll`
         produced.
         """
-        embedding = np.asarray(embedding, dtype=np.float64).reshape(-1)
+        embedding = require_finite(
+            np.asarray(embedding, dtype=np.float64).reshape(-1), "embedding"
+        )
         if embedding.size != self.config.embedding_dim:
             raise ValueError(
                 f"expected a {self.config.embedding_dim}-dim embedding, "
@@ -174,8 +178,10 @@ class NECSystem:
     ) -> List[ProtectionResult]:
         """The batched engine core: protect ``(N, segment_samples)`` stacked segments.
 
-        One complex STFT and one Selector forward pass cover the whole batch
-        (chunked at ``max_batch_segments`` to bound the im2col working set).
+        One complex STFT and one Selector forward pass cover the whole batch,
+        chunked at ``max_batch_segments`` to bound the STFT and activation
+        batch (the convolutions' im2col scratch is one row's whatever the
+        chunk: about 55 MB per thread at the default geometry).
         Returns one full-segment :class:`ProtectionResult` per row, each
         bit-identical to :meth:`protect_segment` on that row (under the default
         float64 policy; under a reduced-precision policy the whole engine runs
@@ -255,6 +261,7 @@ class NECSystem:
     def _segment_matrix(self, mixed_audio: AudioSignal) -> np.ndarray:
         """The clip's segments stacked into a ``(N, segment_samples)`` matrix."""
         self._check_sample_rate(mixed_audio)
+        require_finite(mixed_audio.data, "mixed audio")
         return np.stack([segment.data for segment in self._segments(mixed_audio)])
 
     def protect(self, mixed_audio: AudioSignal) -> ProtectionResult:
@@ -658,6 +665,7 @@ class StreamingProtector:
             data = chunk.data
         else:
             data = np.asarray(chunk, dtype=np.float64).reshape(-1)
+        require_finite(data, "audio chunk")
         self._samples_fed += data.size
         self._buffer_chunk(data)
         results = self._drain_ready()

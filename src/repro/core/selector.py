@@ -439,8 +439,9 @@ class StreamBatch:
         """Run one coalesced inference pass over every pending segment.
 
         Segments from all queued requests are stacked (chunked at
-        ``max_batch_segments`` to bound the im2col working set, like the
-        batched protect engine) with their per-row d-vectors, inferred in one
+        ``max_batch_segments`` to bound the activation batch, like the
+        batched protect engine; the im2col scratch is one row's per thread,
+        whatever the chunk) with their per-row d-vectors, inferred in one
         batched pass per chunk, and the shadows scattered back to their
         requests.  Returns the number of segments inferred.
 
@@ -481,7 +482,7 @@ class StreamBatch:
             # Chunks are independent rows, so fanning them out over worker
             # threads changes nothing but the wall clock: each chunk runs
             # exactly the pass it would have run serially (numpy releases the
-            # GIL inside the heavy kernels, and the im2col buffers are
+            # GIL inside the heavy kernels, and the im2col scratch is
             # thread-local).
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(max_workers=self.num_workers)

@@ -30,7 +30,6 @@ from repro.nn.conv import (
     Conv2d,
     strided_im2col,
     clear_im2col_buffer_cache,
-    im2col_buffer_cache_info,
 )
 from repro.nn.recurrent import LSTM, LSTMCell
 from repro.nn.losses import mse_loss, l1_loss, cross_entropy_loss, cosine_embedding_loss
@@ -74,7 +73,6 @@ __all__ = [
     "fft_conv2d",
     "next_fast_len",
     "clear_im2col_buffer_cache",
-    "im2col_buffer_cache_info",
     "LSTM",
     "LSTMCell",
     "mse_loss",

@@ -3,49 +3,40 @@
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn.fftconv import fft_conv2d
 from repro.nn.layers import Module
 from repro.nn.precision import DTypePolicy, active_policy
-from repro.nn.tensor import Tensor, conv_output_size
+from repro.nn.tensor import Tensor, conv_output_size, im2col_gather
 
 IntPair = Union[int, Tuple[int, int]]
 
-#: Thread-local store of reusable (padded, column) buffer pairs, keyed by the
-#: full im2col signature.  Fresh multi-megabyte allocations dominate the
-#: inference im2col at serving batch sizes (page faults on every call); reusing
-#: warm buffers cuts the column gather several-fold without changing a bit —
-#: the copy is the same, only the destination memory is recycled.  Thread-local
-#: because the coalescing tick may run independent chunks on worker threads
-#: that share the layer objects.
-_im2col_buffers = threading.local()
-
-#: Cap on cached shape signatures per thread before the store is dropped;
-#: inference runs at a handful of fixed geometries, so this is only a guard
-#: against unbounded growth under pathological shape churn.
-_IM2COL_CACHE_MAX_KEYS = 32
-
-
-def _im2col_buffer_store() -> Dict:
-    store = getattr(_im2col_buffers, "cache", None)
-    if store is None:
-        store = {}
-        _im2col_buffers.cache = store
-    return store
+#: This thread's im2col scratch: one grow-only flat buffer per (role, dtype).
+#: A fresh multi-megabyte column matrix page-faults on every layer, so the
+#: gather recycles one warm buffer instead.  Thread-local because the
+#: coalescing tick may run independent chunks on worker threads that share
+#: the layer objects.
+_scratch = threading.local()
 
 
 def clear_im2col_buffer_cache() -> None:
-    """Drop this thread's reusable im2col buffers (mainly for tests)."""
-    _im2col_buffers.cache = {}
+    """Free this thread's im2col scratch."""
+    _scratch.buffers = {}
 
 
-def im2col_buffer_cache_info() -> Dict[str, int]:
-    """Entry count of this thread's im2col buffer cache."""
-    return {"entries": len(_im2col_buffer_store())}
+def _scratch_buffer(role: str, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """A ``shape`` view of this thread's ``(role, dtype)`` scratch, grown if needed."""
+    buffers = getattr(_scratch, "buffers", None)
+    if buffers is None:
+        buffers = _scratch.buffers = {}
+    size = int(np.prod(shape))
+    flat = buffers.get((role, dtype.str))
+    if flat is None or flat.size < size:
+        flat = buffers[(role, dtype.str)] = np.empty(size, dtype=dtype)
+    return flat[:size].reshape(shape)
 
 
 def strided_im2col(
@@ -55,51 +46,20 @@ def strided_im2col(
     dilation: Tuple[int, int] = (1, 1),
     padding: Tuple[int, int] = (0, 0),
 ) -> np.ndarray:
-    """im2col of a ``(N, C, H, W)`` array via strided views, shape ``(N, C*kh*kw, L)``.
+    """im2col of a ``(N, C, H, W)`` array into this thread's scratch.
 
-    Produces exactly the same column matrix as :meth:`Tensor.im2col` (rows in
-    ``(c, ky, kx)`` order, columns in row-major output-position order) but
-    gathers through ``sliding_window_view`` instead of building giant fancy
-    index arrays, and writes the contiguous copy into a thread-local reused
-    buffer instead of a fresh allocation.  Inference-only: no autograd graph
-    is recorded, and the returned array aliases the per-thread buffer — it is
-    valid until the next same-shape call on the same thread (the inference
-    engine consumes it immediately in the following matmul).
+    The same column matrix as :meth:`Tensor.im2col` (both run
+    :func:`~repro.nn.tensor.im2col_gather`), written into the thread's
+    grow-only scratch — one padded-input and one column buffer per dtype, as
+    large as the largest call so far.  :meth:`Conv2d.infer` calls this one
+    row at a time, which caps the scratch at the largest one-row layer (about
+    55 MB at the default geometry).  Inference-only: the result aliases the
+    scratch and is valid until the next call on the same thread.
     """
-    n, c, h, w = x.shape
-    kh, kw = kernel_size
-    dil_h, dil_w = dilation
-    pad_h, pad_w = padding
-    kh_eff = (kh - 1) * dil_h + 1
-    kw_eff = (kw - 1) * dil_w + 1
-    out_h = (h + 2 * pad_h - kh_eff) // stride + 1
-    out_w = (w + 2 * pad_w - kw_eff) // stride + 1
-    if out_h <= 0 or out_w <= 0:
-        raise ValueError(
-            f"Convolution output would be empty: input {h}x{w}, "
-            f"kernel {kh}x{kw}, dilation {dilation}, padding {padding}"
-        )
-    store = _im2col_buffer_store()
-    key = (x.shape, kernel_size, stride, dilation, padding, x.dtype.str)
-    buffers = store.get(key)
-    if buffers is None:
-        if len(store) >= _IM2COL_CACHE_MAX_KEYS:
-            store.clear()
-        # The pad border is written once here and never touched again: every
-        # subsequent call only overwrites the interior with the new input.
-        padded = np.zeros((n, c, h + 2 * pad_h, w + 2 * pad_w), dtype=x.dtype)
-        columns = np.empty((n, c, kh, kw, out_h, out_w), dtype=x.dtype)
-        store[key] = buffers = (padded, columns)
-    padded, columns = buffers
-    padded[:, :, pad_h : pad_h + h, pad_w : pad_w + w] = x
-    # (N, C, out_h_full, out_w_full, kh_eff, kw_eff) view, zero-copy.
-    windows = sliding_window_view(padded, (kh_eff, kw_eff), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, ::dil_h, ::dil_w]
-    windows = windows[:, :, :out_h, :out_w]
-    # (N, C, kh, kw, out_h, out_w) -> (N, C*kh*kw, out_h*out_w), one copy
-    # into the recycled destination.
-    np.copyto(columns, windows.transpose(0, 1, 4, 5, 2, 3))
-    return columns.reshape(n, c * kh * kw, out_h * out_w)
+    return im2col_gather(
+        x, kernel_size, stride=stride, dilation=dilation, padding=padding,
+        buffer=_scratch_buffer,
+    )
 
 
 def _pair(value: IntPair) -> Tuple[int, int]:
@@ -242,10 +202,12 @@ class Conv2d(Module):
         """Gradient-free forward pass on a ``(N, C, H, W)`` numpy array.
 
         Under the default float64 policy this is bit-identical to
-        :meth:`forward` — the column matrix has the same layout and the
-        matmul/bias ops run in the same order — but it skips the autograd
-        bookkeeping and uses the strided im2col, which avoids rebuilding the
-        fancy-index arrays for every sample.  Under a reduced-precision policy
+        :meth:`forward`: the column matrix has the same layout, and the
+        stacked ``weight @ cols`` there makes one GEMM call per row with the
+        same shapes as the per-row GEMMs here.  It skips the autograd
+        bookkeeping and gathers one row at a time into the thread's im2col
+        scratch (:func:`strided_im2col`), so the working set is one row's
+        column matrix whatever ``N`` is.  Under a reduced-precision policy
         (:mod:`repro.nn.precision`) the whole pass runs in the policy's real
         dtype, with the flattened weights cast once and cached per policy.
         This is the building block of the batched inference engine.
@@ -256,15 +218,17 @@ class Conv2d(Module):
         x = policy.real(x)
         n, _, h, w = x.shape
         out_h, out_w = self.output_size(h, w)
-        cols = strided_im2col(
-            x,
-            self.kernel_size,
-            stride=self.stride,
-            dilation=self.dilation,
-            padding=self.padding,
-        )
         weight_matrix, bias_row = self._inference_weights(policy)
-        out = weight_matrix @ cols
+        out = np.empty((n, self.out_channels, out_h * out_w), dtype=weight_matrix.dtype)
+        for row in range(n):
+            cols = strided_im2col(
+                x[row : row + 1],
+                self.kernel_size,
+                stride=self.stride,
+                dilation=self.dilation,
+                padding=self.padding,
+            )
+            np.matmul(weight_matrix, cols[0], out=out[row])
         if bias_row is not None:
-            out = out + bias_row
+            out += bias_row
         return out.reshape(n, self.out_channels, out_h, out_w)

@@ -14,7 +14,6 @@ of the :func:`Tensor.im2col` primitive defined here.
 from __future__ import annotations
 
 import contextlib
-import threading
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -58,35 +57,55 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-#: Thread-local store of reusable zero-padded scratch arrays for the autograd
-#: im2col, keyed by the padded geometry.  The pad border is written once and
-#: never touched again (every reuse only overwrites the interior), mirroring
-#: the inference engine's buffer-reuse trick in ``repro.nn.conv`` — but only
-#: the *scratch* is recycled here: the gathered columns are copied into a
-#: fresh array because the autograd graph retains them across layers.
-_im2col_scratch = threading.local()
-
-_IM2COL_SCRATCH_MAX_KEYS = 32
+def _fresh_buffer(role: str, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    return np.empty(shape, dtype=dtype)
 
 
-def _padded_scratch(data: np.ndarray, pad_h: int, pad_w: int) -> np.ndarray:
-    """``data`` zero-padded on H/W into a thread-locally reused scratch array."""
-    n, c, h, w = data.shape
-    if not (pad_h or pad_w):
-        return data
-    store = getattr(_im2col_scratch, "cache", None)
-    if store is None:
-        store = {}
-        _im2col_scratch.cache = store
-    key = (n, c, h, w, pad_h, pad_w)
-    padded = store.get(key)
-    if padded is None:
-        if len(store) >= _IM2COL_SCRATCH_MAX_KEYS:
-            store.clear()
-        padded = np.zeros((n, c, h + 2 * pad_h, w + 2 * pad_w), dtype=np.float64)
-        store[key] = padded
-    padded[:, :, pad_h : pad_h + h, pad_w : pad_w + w] = data
-    return padded
+def im2col_gather(
+    x: np.ndarray,
+    kernel_size: Tuple[int, int],
+    stride: int = 1,
+    dilation: Tuple[int, int] = (1, 1),
+    padding: Tuple[int, int] = (0, 0),
+    buffer: Callable[[str, Tuple[int, ...], np.dtype], np.ndarray] = _fresh_buffer,
+) -> np.ndarray:
+    """im2col of a ``(N, C, H, W)`` array, shape ``(N, C*kh*kw, out_h*out_w)``.
+
+    Rows come in ``(c, ky, kx)`` order, columns in row-major output-position
+    order, gathered with one copy through a zero-copy
+    :func:`sliding_window_view` of the zero-padded input.
+    ``buffer(role, shape, dtype)`` supplies the ``"padded"`` input and the
+    ``"columns"`` destination (fresh arrays by default); every element of
+    both, pad border included, is written on every call, so a caller may
+    hand back recycled memory.
+    """
+    n, c, h, w = x.shape
+    kh, kw = kernel_size
+    dil_h, dil_w = dilation
+    pad_h, pad_w = padding
+    out_h, out_w = conv_output_size(h, w, kernel_size, stride, dilation, padding)
+    if out_h <= 0 or out_w <= 0:
+        raise ValueError(
+            f"Convolution output would be empty: input {h}x{w}, "
+            f"kernel {kh}x{kw}, dilation {dilation}, padding {padding}"
+        )
+    padded = x
+    if pad_h or pad_w:
+        padded = buffer("padded", (n, c, h + 2 * pad_h, w + 2 * pad_w), x.dtype)
+        padded[:, :, :pad_h] = padded[:, :, pad_h + h :] = 0.0
+        padded[:, :, :, :pad_w] = padded[:, :, :, pad_w + w :] = 0.0
+        padded[:, :, pad_h : pad_h + h, pad_w : pad_w + w] = x
+    # Zero-copy view of every window at its dilated extent; the strided
+    # slices below apply the stride and pick the dilated taps.
+    windows = sliding_window_view(
+        padded, ((kh - 1) * dil_h + 1, (kw - 1) * dil_w + 1), axis=(2, 3)
+    )
+    windows = windows[:, :, ::stride, ::stride, ::dil_h, ::dil_w]
+    windows = windows[:, :, :out_h, :out_w]
+    # (N, C, out_h, out_w, kh, kw) -> (N, C, kh, kw, out_h, out_w), one copy.
+    columns = buffer("columns", (n, c, kh, kw, out_h, out_w), x.dtype)
+    np.copyto(columns, windows.transpose(0, 1, 4, 5, 2, 3))
+    return columns.reshape(n, c * kh * kw, out_h * out_w)
 
 
 def _as_array(value: ArrayLike) -> np.ndarray:
@@ -492,42 +511,29 @@ class Tensor:
         Returns a tensor of shape ``(N, C*kh*kw, out_h*out_w)``.  The output
         spatial size is available via :func:`conv_output_size`.
 
-        Both directions are batch-vectorised: the forward gather runs through
-        a zero-copy :func:`sliding_window_view` (with the padded scratch
-        buffer reused thread-locally, like the inference engine's
-        :func:`repro.nn.conv.strided_im2col`) and the backward scatters
-        through ``kh * kw`` strided slice-adds — the classic col2im — instead
-        of a giant ``np.add.at`` fancy-index accumulation.  The gathered
-        elements and the per-cell gradient sums are exactly the ones the
-        index-array formulation produces, so gradients are unchanged; only
-        the wall clock moves.  Minibatched training leans on this: one im2col
-        of an ``(N, 1, T, F)`` stack replaces ``N`` single-example unfolds.
+        Both directions are batch-vectorised: the forward gather is
+        :func:`im2col_gather` into fresh arrays (the autograd graph retains
+        the columns, so they cannot alias the inference engine's reused
+        scratch) and the backward scatters through ``kh * kw`` strided
+        slice-adds — the classic col2im — instead of a giant ``np.add.at``
+        fancy-index accumulation.  The gathered elements and the per-cell
+        gradient sums are exactly the ones the index-array formulation
+        produces, so gradients are unchanged; only the wall clock moves.
+        Minibatched training leans on this: one im2col of an
+        ``(N, 1, T, F)`` stack replaces ``N`` single-example unfolds.
         """
         if self.ndim != 4:
             raise ValueError("im2col expects a 4-D (N, C, H, W) tensor")
+        cols = im2col_gather(
+            self.data, kernel_size, stride=stride, dilation=dilation, padding=padding
+        )
         n, c, h, w = self.shape
         kh, kw = kernel_size
         dil_h, dil_w = dilation
         pad_h, pad_w = padding
-        kh_eff = (kh - 1) * dil_h + 1
-        kw_eff = (kw - 1) * dil_w + 1
-        out_h = (h + 2 * pad_h - kh_eff) // stride + 1
-        out_w = (w + 2 * pad_w - kw_eff) // stride + 1
-        if out_h <= 0 or out_w <= 0:
-            raise ValueError(
-                f"Convolution output would be empty: input {h}x{w}, "
-                f"kernel {kh}x{kw}, dilation ({dil_h},{dil_w}), padding ({pad_h},{pad_w})"
-            )
-        padded = _padded_scratch(self.data, pad_h, pad_w)
-        windows = sliding_window_view(padded, (kh_eff, kw_eff), axis=(2, 3))
-        windows = windows[:, :, ::stride, ::stride, ::dil_h, ::dil_w]
-        windows = windows[:, :, :out_h, :out_w]
-        # (N, C, out_h, out_w, kh, kw) view -> fresh (N, C, kh, kw, out_h, out_w)
-        # copy: the autograd graph retains the columns, so unlike the
-        # inference path the destination cannot alias a reused buffer.
-        cols6 = np.empty((n, c, kh, kw, out_h, out_w), dtype=np.float64)
-        np.copyto(cols6, windows.transpose(0, 1, 4, 5, 2, 3))
-        cols = cols6.reshape(n, c * kh * kw, out_h * out_w)
+        out_h, out_w = conv_output_size(
+            h, w, kernel_size, stride=stride, dilation=dilation, padding=padding
+        )
 
         def backward(grad: np.ndarray) -> None:
             grad6 = grad.reshape(n, c, kh, kw, out_h, out_w)

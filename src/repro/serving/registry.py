@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.audio.signal import AudioSignal
+from repro.audio.signal import AudioSignal, require_finite
 from repro.core.config import NECConfig
 from repro.core.encoder import SpeakerEncoder, SpectralEncoder
 from repro.core.pipeline import NECSystem
@@ -167,7 +167,10 @@ class EnrollmentRegistry:
             raise ValueError(
                 f"invalid tenant id {tenant_id!r}: use 1-64 chars of [A-Za-z0-9._-]"
             )
-        vector = np.asarray(embedding, dtype=np.float64).reshape(-1)
+        vector = require_finite(
+            np.asarray(embedding, dtype=np.float64).reshape(-1),
+            f"d-vector of tenant '{tenant_id}'",
+        )
         if vector.size != self.config.embedding_dim:
             raise ValueError(
                 f"expected a {self.config.embedding_dim}-dim d-vector for "
