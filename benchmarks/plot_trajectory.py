@@ -46,9 +46,23 @@ def load_trajectory(path: str) -> Dict:
     return payload
 
 
-def _series(payload: Dict) -> Dict[str, List[Tuple[str, float, bool]]]:
-    """Per-kernel list of (entry label, speedup, equivalent) in entry order."""
-    series: Dict[str, List[Tuple[str, float, bool]]] = {}
+def host_tag(entry: Dict) -> str:
+    """One-line summary of the host an entry was measured on ("" if unrecorded)."""
+    host = entry.get("host")
+    if not host:
+        return ""
+    threads = " ".join(
+        f"{key}={host.get(key) or '-'}" for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    )
+    return (
+        f"{host.get('cpu_count')} cpu {host.get('machine')}, py {host.get('python')}, "
+        f"numpy {host.get('numpy')}, scipy {host.get('scipy')}, {threads}"
+    )
+
+
+def _series(payload: Dict) -> Dict[str, List[Tuple[str, float, bool, str]]]:
+    """Per-kernel list of (entry label, speedup, equivalent, host) in entry order."""
+    series: Dict[str, List[Tuple[str, float, bool, str]]] = {}
     for entry in payload["entries"]:
         for kernel in entry.get("kernels", []):
             series.setdefault(kernel["name"], []).append(
@@ -56,6 +70,7 @@ def _series(payload: Dict) -> Dict[str, List[Tuple[str, float, bool]]]:
                     entry.get("label", "unlabeled"),
                     float(kernel.get("speedup", 0.0)),
                     bool(kernel.get("equivalent", False)),
+                    host_tag(entry),
                 )
             )
     return series
@@ -66,11 +81,12 @@ def render(payload: Dict) -> str:
     lines: List[str] = []
     for name, points in _series(payload).items():
         lines.append(f"{name}:")
-        top = max((speedup for _, speedup, _ in points), default=1.0) or 1.0
-        for label, speedup, equivalent in points:
+        top = max((speedup for _, speedup, _, _ in points), default=1.0) or 1.0
+        for label, speedup, equivalent, host in points:
             bar = "#" * max(int(round(_BAR_WIDTH * speedup / top)), 1)
             flag = "" if equivalent else "  !! NOT EQUIVALENT"
-            lines.append(f"  {label:>10}  {speedup:7.2f}x  |{bar:<{_BAR_WIDTH}}|{flag}")
+            host = f"  [{host}]" if host else ""
+            lines.append(f"  {label:>10}  {speedup:7.2f}x  |{bar:<{_BAR_WIDTH}}|{flag}{host}")
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"
 

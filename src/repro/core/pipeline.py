@@ -14,7 +14,7 @@ equivalence is pinned by tests.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -397,7 +397,8 @@ class StreamLatencyStats:
 
     ``budget_ms`` is the asserted per-feed budget: a feed (or flush) whose
     wall-clock exceeds it counts a violation.  The streaming benchmark gates
-    on ``budget_violations == 0``.
+    on ``budget_violations == 0``.  Every statistic is a running counter, so
+    a session's stats stay the same size however long it streams.
     """
 
     budget_ms: Optional[float] = None
@@ -405,15 +406,12 @@ class StreamLatencyStats:
     total_feed_ms: float = 0.0
     worst_feed_ms: float = 0.0
     budget_violations: int = 0
-    emit_latency_samples: List[int] = field(default_factory=list)
+    emits: int = 0
+    worst_emit_latency_samples: int = 0
 
     @property
     def mean_feed_ms(self) -> float:
         return self.total_feed_ms / self.feeds if self.feeds else 0.0
-
-    @property
-    def worst_emit_latency_samples(self) -> int:
-        return max(self.emit_latency_samples, default=0)
 
     def record_feed(self, elapsed_ms: float) -> None:
         self.feeds += 1
@@ -423,14 +421,18 @@ class StreamLatencyStats:
             self.budget_violations += 1
 
     def record_emit(self, extra_samples: int) -> None:
-        self.emit_latency_samples.append(int(extra_samples))
+        self.emits += 1
+        self.worst_emit_latency_samples = max(
+            self.worst_emit_latency_samples, int(extra_samples)
+        )
 
     def reset(self) -> None:
         self.feeds = 0
         self.total_feed_ms = 0.0
         self.worst_feed_ms = 0.0
         self.budget_violations = 0
-        self.emit_latency_samples = []
+        self.emits = 0
+        self.worst_emit_latency_samples = 0
 
 
 @dataclass

@@ -325,6 +325,11 @@ class Selector(Module):
         return -self.shadow_spectrogram(mixed_spectrogram, d_vector)
 
 
+def default_num_workers() -> int:
+    """Worker threads of a :class:`StreamBatch` tick when none are asked for."""
+    return min(os.cpu_count() or 1, 4)
+
+
 @dataclass
 class StreamRequest:
     """One stream's pending segment-inference request inside a :class:`StreamBatch`.
@@ -375,15 +380,17 @@ class StreamBatch:
         self.selector = selector
         self.max_batch_segments = max(int(max_batch_segments), 1)
         if num_workers is None:
-            num_workers = min(os.cpu_count() or 1, 4)
+            num_workers = default_num_workers()
         self.num_workers = max(int(num_workers), 1)
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pending: List[StreamRequest] = []
         self._lock = threading.Lock()
         self._closed = False
+        # Running counters, so a long-lived batch keeps O(1) stats.
         self.ticks = 0
+        self.busy_ticks = 0             # ticks that inferred at least one segment
         self.segments_coalesced = 0
-        self.batch_sizes: List[int] = []
+        self.max_tick_segments = 0
 
     @property
     def pending_segments(self) -> int:
@@ -455,7 +462,6 @@ class StreamBatch:
             pending, self._pending = self._pending, []
         if not pending:
             self.ticks += 1
-            self.batch_sizes.append(0)
             return 0
         counts = [request.mixed_spectrograms.shape[0] for request in pending]
         if sum(counts) == 0:
@@ -464,7 +470,6 @@ class StreamBatch:
             for request in pending:
                 request.shadow_spectrograms = request.mixed_spectrograms[:0]
             self.ticks += 1
-            self.batch_sizes.append(0)
             return 0
         specs = np.concatenate([request.mixed_spectrograms for request in pending], axis=0)
         vectors = np.concatenate(
@@ -508,7 +513,9 @@ class StreamBatch:
         for request, count in zip(pending, counts):
             request.shadow_spectrograms = stacked[offset : offset + count]
             offset += count
+        rows = int(specs.shape[0])
         self.ticks += 1
-        self.segments_coalesced += specs.shape[0]
-        self.batch_sizes.append(int(specs.shape[0]))
-        return int(specs.shape[0])
+        self.busy_ticks += 1
+        self.segments_coalesced += rows
+        self.max_tick_segments = max(self.max_tick_segments, rows)
+        return rows

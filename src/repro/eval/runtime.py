@@ -1,13 +1,21 @@
 """Running-time analysis: NEC vs VoiceFilter (paper Table II), plus the
-evaluation fast-path benchmark (old vs new DTW/iSTFT/filter/driver kernels)."""
+in-library fast-path benchmarks (evaluation kernels, streaming, training and
+the persistent perf trajectory).
+
+Every number here comes from one instrument, :func:`_best_ms`: the best of N
+wall-clock calls of an already-warm function.  Old-vs-new kernels go through
+:func:`_kernel`, which runs each side once — the warm-up, and the outputs its
+equivalence check compares — before timing both sides.
+"""
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -15,7 +23,7 @@ from repro.baselines.voicefilter import VoiceFilterModel
 from repro.channel.ultrasound import am_modulate
 from repro.core.config import NECConfig
 from repro.core.encoder import SpectralEncoder
-from repro.core.selector import Selector
+from repro.core.selector import Selector, default_num_workers
 from repro.dsp.stft import magnitude_spectrogram
 from repro.eval.reporting import format_table
 
@@ -28,9 +36,174 @@ from repro.eval.reporting import format_table
 RASPBERRY_PI_FACTOR = 190.0
 
 
+# ---------------------------------------------------------------------------
+# The one timer, the one kernel helper, and the shared stream drivers
+# ---------------------------------------------------------------------------
+def _best_ms(function: Callable, repetitions: int) -> float:
+    """Best-of-N wall-clock latency of an already-warm ``function()`` in ms.
+
+    The minimum over repetitions is the standard robust estimator on shared
+    machines: every source of noise only ever adds time.
+    """
+    best = float("inf")
+    for _ in range(max(repetitions, 1)):
+        start = time.perf_counter()
+        function()
+        best = min(best, time.perf_counter() - start)
+    return 1000.0 * best
+
+
+@dataclass
+class KernelTiming:
+    """Old-vs-new timing of one kernel, with its equivalence check."""
+
+    name: str
+    reference_ms: float
+    fast_ms: float
+    equivalent: bool
+    max_abs_difference: float
+
+    @property
+    def speedup(self) -> float:
+        if self.fast_ms <= 0:
+            return float("inf")
+        return self.reference_ms / self.fast_ms
+
+    def to_dict(self) -> Dict:
+        return {**asdict(self), "speedup": self.speedup}
+
+
+Compare = Callable[[object, object], Tuple[bool, float]]
+
+
+def _kernel(
+    name: str,
+    reference: Callable,
+    fast: Callable,
+    compare: Compare,
+    repetitions: int,
+) -> KernelTiming:
+    """Time ``reference`` against ``fast`` (best of N each) and compare them.
+
+    Each side runs once first: that call is both its warm-up and the output
+    ``compare(reference_output, fast_output) -> (equivalent, max |diff|)``
+    checks.
+    """
+    equivalent, max_diff = compare(reference(), fast())
+    reference_ms, fast_ms = _best_ms(reference, repetitions), _best_ms(fast, repetitions)
+    return KernelTiming(name, reference_ms, fast_ms, bool(equivalent), float(max_diff))
+
+
+def _flatten(value) -> List[np.ndarray]:
+    if isinstance(value, (list, tuple)):
+        return [array for item in value for array in _flatten(item)]
+    return [value]
+
+
+def _verdict(same: bool) -> Tuple[bool, float]:
+    return same, 0.0 if same else float("inf")
+
+
+def bit_identical(reference, fast) -> Tuple[bool, float]:
+    """Compare for a bit-identity contract: the same arrays, in the same order.
+
+    Either side may nest lists and tuples of arrays.
+    """
+    left, right = _flatten(reference), _flatten(fast)
+    return _verdict(
+        len(left) == len(right) and all(np.array_equal(a, b) for a, b in zip(left, right))
+    )
+
+
+def _within(tolerance: float) -> Compare:
+    """Compare: ``max |reference - fast| <= tolerance``."""
+
+    def compare(reference, fast) -> Tuple[bool, float]:
+        max_diff = float(np.abs(np.asarray(fast) - np.asarray(reference)).max())
+        return max_diff <= tolerance, max_diff
+
+    return compare
+
+
+def _protection_arrays(results) -> List[Tuple[np.ndarray, ...]]:
+    return [(r.shadow_wave.data, r.shadow_spectrogram, r.record_spectrogram) for r in results]
+
+
+def tick_chunk(num_streams: int, workers: int, serial_chunk: int) -> int:
+    """``max_batch_segments`` giving each tick worker one chunk of the streams."""
+    return -(-num_streams // workers) if workers > 1 else serial_chunk
+
+
+def direct_stream_waves(
+    systems: Sequence, stream_audio: Sequence[np.ndarray], segment: int
+) -> List[List[np.ndarray]]:
+    """The direct reference: one immediate ``StreamingProtector`` per stream.
+
+    ``systems[i]`` protects ``stream_audio[i]``; every round feeds each
+    stream its next one-segment chunk.  Returns each stream's shadow waves.
+    """
+    from repro.core.pipeline import StreamingProtector
+
+    protectors = [StreamingProtector(system) for system in systems]
+    waves: List[List[np.ndarray]] = [[] for _ in protectors]
+    for start in range(0, len(stream_audio[0]), segment):
+        for index, protector in enumerate(protectors):
+            for result in protector.feed(stream_audio[index][start : start + segment]):
+                waves[index].append(result.shadow_wave.data)
+    return waves
+
+
+def serve_streams(
+    service, tenant_ids: Sequence[str], stream_audio: Sequence[np.ndarray], segment: int
+) -> Tuple[List[List[np.ndarray]], List[float], float, int]:
+    """Drive one session per stream through a live ``ProtectionService``.
+
+    Stream ``i`` is a session of tenant ``tenant_ids[i]``.  Every round feeds
+    each session its next one-segment chunk, then waits on each session for
+    that round's shadow.  Returns the per-stream shadow waves, every
+    segment's shadow latency in ms (feed of its chunk to its collection), the
+    wall-clock of all rounds in seconds, and the sessions' per-feed budget
+    violations.  The sessions are closed on return.
+    """
+    sessions = [service.open_session(tenant_id) for tenant_id in tenant_ids]
+    waves: List[List[np.ndarray]] = [[] for _ in sessions]
+    latencies_ms: List[float] = []
+    started = time.perf_counter()
+    for round_index, start in enumerate(range(0, len(stream_audio[0]), segment)):
+        fed_at: List[float] = []
+        for index, session in enumerate(sessions):
+            fed_at.append(time.perf_counter())
+            session.feed(stream_audio[index][start : start + segment])
+        for index, session in enumerate(sessions):
+            while len(waves[index]) <= round_index:
+                for result in session.collect(wait=True):
+                    waves[index].append(result.shadow_wave.data)
+                    latencies_ms.append(1000.0 * (time.perf_counter() - fed_at[index]))
+    elapsed = time.perf_counter() - started
+    violations = sum(session.latency.budget_violations for session in sessions)
+    for session in sessions:
+        session.close()
+    return waves, latencies_ms, elapsed, violations
+
+
+def _enrolled_system(config: NECConfig, rng: np.random.Generator):
+    """A seed-0 :class:`NECSystem` enrolled on one segment of noise from ``rng``."""
+    from repro.audio.signal import AudioSignal
+    from repro.core.pipeline import NECSystem
+
+    system = NECSystem(config, seed=0)
+    system.enroll(
+        [AudioSignal(rng.normal(scale=0.1, size=config.segment_samples), config.sample_rate)]
+    )
+    return system
+
+
+# ---------------------------------------------------------------------------
+# Table II and the batched protect engine
+# ---------------------------------------------------------------------------
 @dataclass
 class ModuleTiming:
-    """Mean per-invocation latency (milliseconds) of one pipeline module."""
+    """Best-of-N per-invocation latency (milliseconds) of each pipeline module."""
 
     encoder_ms: float
     selector_ms: float
@@ -66,84 +239,55 @@ class RuntimeResult:
 
     def table(self) -> str:
         rows = [
-            ["local", "NEC", self.nec.encoder_ms, self.nec.selector_ms, self.nec.broadcast_ms],
-            [
-                "local",
-                "VoiceFilter",
-                self.voicefilter.encoder_ms,
-                self.voicefilter.selector_ms,
-                self.voicefilter.broadcast_ms,
-            ],
-            [
-                "pi-estimate",
-                "NEC",
-                self.pi_estimate(self.nec).encoder_ms,
-                self.pi_estimate(self.nec).selector_ms,
-                self.pi_estimate(self.nec).broadcast_ms,
-            ],
-            [
-                "pi-estimate",
-                "VoiceFilter",
-                self.pi_estimate(self.voicefilter).encoder_ms,
-                self.pi_estimate(self.voicefilter).selector_ms,
-                self.pi_estimate(self.voicefilter).broadcast_ms,
-            ],
+            [where, name, timing.encoder_ms, timing.selector_ms, timing.broadcast_ms]
+            for where, scale in (("local", lambda t: t), ("pi-estimate", self.pi_estimate))
+            for name, timing in (("NEC", scale(self.nec)), ("VoiceFilter", scale(self.voicefilter)))
         ]
         return format_table(
             ["platform", "system", "encoder (ms)", "selector (ms)", "broadcast (ms)"], rows
         )
 
 
-def _time_call(function, repetitions: int) -> float:
-    """Mean wall-clock latency of ``function()`` in milliseconds (after warm-up)."""
-    function()  # warm-up: exclude one-time allocation effects from the measurement
-    start = time.perf_counter()
-    for _ in range(max(repetitions, 1)):
-        function()
-    elapsed = time.perf_counter() - start
-    return 1000.0 * elapsed / max(repetitions, 1)
-
-
 def run_runtime_analysis(
     config: Optional[NECConfig] = None,
     audio_seconds: float = 1.0,
     repetitions: int = 3,
-    seed: int = 0,
 ) -> RuntimeResult:
-    """Table II: per-module latency for NEC and VoiceFilter on 1 s of audio."""
-    config = (config or NECConfig.default()).validate()
-    rng = np.random.default_rng(seed)
-    sample_count = int(audio_seconds * config.sample_rate)
-    audio = rng.normal(scale=0.1, size=sample_count)
+    """Table II: per-module latency for NEC and VoiceFilter on 1 s of audio.
 
+    Each module is called once to warm up, then timed best of
+    ``repetitions``.  The modules have no old/new pair to compare, so they
+    use the timer without :func:`_kernel`.
+    """
     from repro.audio.signal import AudioSignal
 
+    config = (config or NECConfig.default()).validate()
+    rng = np.random.default_rng(0)
+    audio = rng.normal(scale=0.1, size=int(audio_seconds * config.sample_rate))
     signal = AudioSignal(audio, config.sample_rate)
-    encoder = SpectralEncoder(config, seed=seed)
-    selector = Selector(config, seed=seed)
-    voicefilter = VoiceFilterModel(config, seed=seed)
+    encoder = SpectralEncoder(config, seed=0)
+    selector = Selector(config, seed=0)
+    voicefilter = VoiceFilterModel(config, seed=0)
     embedding = encoder.embed([signal])
     spectrogram = magnitude_spectrogram(
         audio, config.n_fft, config.win_length, config.hop_length
     )
 
-    encoder_ms = _time_call(lambda: encoder.embed([signal]), repetitions)
-    nec_selector_ms = _time_call(
-        lambda: selector.shadow_spectrogram(spectrogram, embedding), repetitions
-    )
-    voicefilter_ms = _time_call(
-        lambda: voicefilter.separate(spectrogram, embedding), repetitions
-    )
-    broadcast_ms = _time_call(
-        lambda: am_modulate(signal, carrier_hz=config.carrier_khz * 1000.0),
-        repetitions,
-    )
+    modules = {
+        "encoder": lambda: encoder.embed([signal]),
+        "nec": lambda: selector.shadow_spectrogram(spectrogram, embedding),
+        "voicefilter": lambda: voicefilter.separate(spectrogram, embedding),
+        "broadcast": lambda: am_modulate(signal, carrier_hz=config.carrier_khz * 1000.0),
+    }
+    for call in modules.values():
+        call()  # warm-up: exclude one-time allocation effects
+    ms = {name: _best_ms(call, repetitions) for name, call in modules.items()}
 
-    nec = ModuleTiming(encoder_ms=encoder_ms, selector_ms=nec_selector_ms, broadcast_ms=broadcast_ms)
-    voicefilter_timing = ModuleTiming(
-        encoder_ms=encoder_ms, selector_ms=voicefilter_ms, broadcast_ms=broadcast_ms
+    return RuntimeResult(
+        nec=ModuleTiming(ms["encoder"], ms["nec"], ms["broadcast"]),
+        voicefilter=ModuleTiming(ms["encoder"], ms["voicefilter"], ms["broadcast"]),
+        audio_seconds=audio_seconds,
     )
-    return RuntimeResult(nec=nec, voicefilter=voicefilter_timing, audio_seconds=audio_seconds)
 
 
 @dataclass
@@ -162,18 +306,11 @@ class BatchedRuntimeResult:
             return float("inf")
         return self.looped_ms / self.batched_ms
 
-    @property
-    def looped_ms_per_segment(self) -> float:
-        return self.looped_ms / max(self.num_segments, 1)
-
-    @property
-    def batched_ms_per_segment(self) -> float:
-        return self.batched_ms / max(self.num_segments, 1)
-
     def table(self) -> str:
+        segments = max(self.num_segments, 1)
         rows = [
-            ["looped (seed)", self.num_segments, self.looped_ms, self.looped_ms_per_segment],
-            ["batched engine", self.num_segments, self.batched_ms, self.batched_ms_per_segment],
+            [path, self.num_segments, ms, ms / segments]
+            for path, ms in (("looped (seed)", self.looped_ms), ("batched engine", self.batched_ms))
         ]
         return format_table(["protect path", "segments", "total (ms)", "per segment (ms)"], rows)
 
@@ -182,89 +319,43 @@ def run_batched_runtime_analysis(
     config: Optional[NECConfig] = None,
     num_segments: int = 4,
     repetitions: int = 1,
-    seed: int = 0,
 ) -> BatchedRuntimeResult:
     """Time multi-segment ``protect`` on the batched engine vs the looped path.
 
     The looped path (:meth:`NECSystem.protect_looped`) is the seed
-    implementation — one STFT + Selector forward per segment, with the Selector
-    recomputing its im2col index arrays every call.  The batched engine stacks
-    all segments into one forward pass.  Both paths produce bit-identical
-    results (checked and reported in ``results_identical``).
+    implementation — one STFT + Selector forward per segment.  The batched
+    engine stacks all segments into one forward pass.  Both paths produce
+    bit-identical results (checked and reported in ``results_identical``).
     """
     from repro.audio.signal import AudioSignal
-    from repro.core.pipeline import NECSystem
 
     config = (config or NECConfig.default()).validate()
-    rng = np.random.default_rng(seed)
-    system = NECSystem(config, seed=seed)
-    reference = AudioSignal(
-        rng.normal(scale=0.1, size=config.segment_samples), config.sample_rate
-    )
-    system.enroll([reference])
+    rng = np.random.default_rng(0)
+    system = _enrolled_system(config, rng)
     audio = AudioSignal(
         rng.normal(scale=0.1, size=num_segments * config.segment_samples),
         config.sample_rate,
     )
-
-    looped_result = system.protect_looped(audio)
-    batched_result = system.protect(audio)
-    identical = bool(
-        np.array_equal(looped_result.shadow_wave.data, batched_result.shadow_wave.data)
-        and np.array_equal(
-            looped_result.shadow_spectrogram, batched_result.shadow_spectrogram
-        )
-        and np.array_equal(
-            looped_result.record_spectrogram, batched_result.record_spectrogram
-        )
+    timing = _kernel(
+        "batched_protect",
+        lambda: system.protect_looped(audio),
+        lambda: system.protect(audio),
+        lambda looped, batched: bit_identical(
+            _protection_arrays([looped]), _protection_arrays([batched])
+        ),
+        repetitions,
     )
-
-    looped_ms = _time_call(lambda: system.protect_looped(audio), repetitions)
-    batched_ms = _time_call(lambda: system.protect(audio), repetitions)
     return BatchedRuntimeResult(
         num_segments=num_segments,
-        looped_ms=looped_ms,
-        batched_ms=batched_ms,
-        results_identical=identical,
+        looped_ms=timing.reference_ms,
+        batched_ms=timing.fast_ms,
+        results_identical=timing.equivalent,
     )
 
 
 # ---------------------------------------------------------------------------
 # Evaluation fast path: old vs new DTW / iSTFT / filter-plan / driver kernels
 # ---------------------------------------------------------------------------
-def _time_call_best(function, repetitions: int) -> float:
-    """Best-of-N wall-clock latency of ``function()`` in milliseconds.
-
-    The minimum over repetitions (after one warm-up call) is the standard
-    robust estimator for speedup comparisons on shared machines: every source
-    of noise only ever adds time.
-    """
-    function()  # warm-up: exclude one-time allocation/caching effects
-    best = float("inf")
-    for _ in range(max(repetitions, 1)):
-        start = time.perf_counter()
-        function()
-        best = min(best, time.perf_counter() - start)
-    return 1000.0 * best
-
-
-@dataclass
-class KernelTiming:
-    """Old-vs-new timing of one evaluation kernel, with its equivalence check."""
-
-    name: str
-    reference_ms: float
-    fast_ms: float
-    equivalent: bool
-    max_abs_difference: float
-
-    @property
-    def speedup(self) -> float:
-        if self.fast_ms <= 0:
-            return float("inf")
-        return self.reference_ms / self.fast_ms
-
-
 @dataclass
 class EvalFastpathResult:
     """The evaluation fast-path benchmark: per-kernel timings and speedups."""
@@ -303,99 +394,82 @@ class EvalFastpathResult:
         return {
             "benchmark": "eval_fastpath",
             "all_equivalent": self.all_equivalent,
-            "kernels": [
-                {
-                    "name": timing.name,
-                    "reference_ms": timing.reference_ms,
-                    "fast_ms": timing.fast_ms,
-                    "speedup": timing.speedup,
-                    "equivalent": timing.equivalent,
-                    "max_abs_difference": timing.max_abs_difference,
-                }
-                for timing in self.kernels
-            ],
+            "kernels": [timing.to_dict() for timing in self.kernels],
         }
 
 
-def _dtw_kernel_timing(repetitions: int, seed: int) -> KernelTiming:
+def _dtw_kernel_timing(repetitions: int) -> KernelTiming:
     """The recogniser kernel: one segment scored against a full template bank."""
     from repro.asr.dtw import dtw_distance_many, dtw_distance_reference
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     # Shapes mirror the recogniser: ~0.4 s word segments at hop 160 with
     # 13 MFCCs + deltas, against a lexicon-sized bank of two speakers each.
     features = rng.normal(size=(40, 26))
     bank = [rng.normal(size=(int(n), 26)) for n in rng.integers(15, 60, size=60)]
 
-    reference = np.array([dtw_distance_reference(features, t) for t in bank])
-    exact = dtw_distance_many(features, bank)
-    abandoned = dtw_distance_many(features, bank, early_abandon=True)
-    max_diff = float(np.abs(exact - reference).max())
-    equivalent = (
-        max_diff <= 1e-10
-        and float(abandoned.min()) == float(exact.min())
-        and int(np.argmin(abandoned)) == int(np.argmin(exact))
+    def compare(reference, abandoned) -> Tuple[bool, float]:
+        exact = dtw_distance_many(features, bank)
+        max_diff = float(np.abs(exact - np.asarray(reference)).max())
+        equivalent = (
+            max_diff <= 1e-10
+            and float(abandoned.min()) == float(exact.min())
+            and int(np.argmin(abandoned)) == int(np.argmin(exact))
+        )
+        return equivalent, max_diff
+
+    return _kernel(
+        "dtw_recognizer",
+        lambda: [dtw_distance_reference(features, t) for t in bank],
+        lambda: dtw_distance_many(features, bank, early_abandon=True),
+        compare,
+        repetitions,
     )
-    reference_ms = _time_call_best(
-        lambda: [dtw_distance_reference(features, t) for t in bank], repetitions
-    )
-    fast_ms = _time_call_best(
-        lambda: dtw_distance_many(features, bank, early_abandon=True), repetitions
-    )
-    return KernelTiming("dtw_recognizer", reference_ms, fast_ms, equivalent, max_diff)
 
 
-def _istft_kernel_timing(config: NECConfig, repetitions: int, seed: int) -> KernelTiming:
+def _istft_kernel_timing(config: NECConfig, repetitions: int) -> KernelTiming:
     """Batched inverse STFT at the configured geometry (the serving shape)."""
     from repro.dsp.stft import batch_istft, batch_istft_reference, batch_stft
 
-    rng = np.random.default_rng(seed)
-    num_clips = 16
+    rng = np.random.default_rng(0)
     length = config.segment_samples
-    signals = rng.normal(scale=0.1, size=(num_clips, length))
+    signals = rng.normal(scale=0.1, size=(16, length))
     spectra = batch_stft(signals, config.n_fft, config.win_length, config.hop_length)
-
-    fast = batch_istft(spectra, config.win_length, config.hop_length, length=length)
-    reference = batch_istft_reference(
-        spectra, config.win_length, config.hop_length, length=length
-    )
-    max_diff = float(np.abs(fast - reference).max())
-    reference_ms = _time_call_best(
+    return _kernel(
+        "batch_istft",
         lambda: batch_istft_reference(
             spectra, config.win_length, config.hop_length, length=length
         ),
-        repetitions,
-    )
-    fast_ms = _time_call_best(
         lambda: batch_istft(spectra, config.win_length, config.hop_length, length=length),
+        _within(1e-10),
         repetitions,
     )
-    return KernelTiming("batch_istft", reference_ms, fast_ms, max_diff <= 1e-10, max_diff)
 
 
-def _filter_plan_timing(repetitions: int, seed: int) -> KernelTiming:
+def _filter_plan_timing(repetitions: int) -> KernelTiming:
     """Butterworth design caching on the 192 kHz channel-simulation filter."""
     from scipy import signal as sps
 
     from repro.dsp.filters import lowpass_filter
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     rate = 192_000
     signal = rng.normal(scale=0.1, size=rate // 10)  # 100 ms at the channel rate
 
-    def reference_call():
+    def reference():
         sos = sps.butter(6, 7600.0 / (rate / 2.0), btype="low", output="sos")
         return sps.sosfiltfilt(sos, signal)
 
-    fast = lowpass_filter(signal, 7600.0, rate, order=6)
-    reference = reference_call()
-    max_diff = float(np.abs(fast - reference).max())
-    reference_ms = _time_call_best(reference_call, repetitions)
-    fast_ms = _time_call_best(lambda: lowpass_filter(signal, 7600.0, rate, order=6), repetitions)
-    return KernelTiming("butter_plan", reference_ms, fast_ms, max_diff == 0.0, max_diff)
+    return _kernel(
+        "butter_plan",
+        reference,
+        lambda: lowpass_filter(signal, 7600.0, rate, order=6),
+        _within(0.0),
+        repetitions,
+    )
 
 
-def _driver_timing(repetitions: int, seed: int) -> KernelTiming:
+def _driver_timing(repetitions: int) -> KernelTiming:
     """The batched eval driver vs the seed's per-instance protect loop.
 
     Runs at the benchmark harness's geometry (``NECConfig.tiny``): that is
@@ -407,7 +481,7 @@ def _driver_timing(repetitions: int, seed: int) -> KernelTiming:
     from repro.eval.common import batched_protections, prepare_context
     from repro.eval.datasets import compile_benchmark_dataset
 
-    context = prepare_context(num_speakers=4, num_targets=2, train=False, seed=seed)
+    context = prepare_context(num_speakers=4, num_targets=2, train=False, seed=0)
     dataset = compile_benchmark_dataset(
         context.corpus,
         context.target_speakers,
@@ -415,63 +489,47 @@ def _driver_timing(repetitions: int, seed: int) -> KernelTiming:
         instances_per_scenario=3,
         scenarios=("joint", "babble"),
         duration=2.0 * context.config.segment_seconds,
-        seed=seed,
+        seed=0,
     )
     jobs = [(instance.target_speaker, instance.mixed) for instance in dataset.instances]
-
-    def reference_call():
-        return [context.system_for(speaker).protect(audio) for speaker, audio in jobs]
-
-    fast = batched_protections(context, jobs)
-    reference = reference_call()
-    identical = all(
-        np.array_equal(a.shadow_wave.data, b.shadow_wave.data)
-        and np.array_equal(a.shadow_spectrogram, b.shadow_spectrogram)
-        for a, b in zip(reference, fast)
+    return _kernel(
+        "batched_driver",
+        lambda: [context.system_for(speaker).protect(audio) for speaker, audio in jobs],
+        lambda: batched_protections(context, jobs),
+        lambda reference, fast: bit_identical(
+            _protection_arrays(reference), _protection_arrays(fast)
+        ),
+        repetitions,
     )
-    reference_ms = _time_call_best(reference_call, repetitions)
-    fast_ms = _time_call_best(lambda: batched_protections(context, jobs), repetitions)
-    return KernelTiming("batched_driver", reference_ms, fast_ms, identical, 0.0 if identical else float("inf"))
 
 
-def run_eval_fastpath_analysis(
-    config: Optional[NECConfig] = None,
-    repetitions: int = 3,
-    include_driver: bool = True,
-    seed: int = 0,
-) -> EvalFastpathResult:
+def run_eval_fastpath_analysis(repetitions: int = 3) -> EvalFastpathResult:
     """Time the evaluation fast path against the seed implementations.
 
-    Four kernels, each reported with a best-of-N latency pair, the speedup and
-    an old-vs-new equivalence flag:
+    Four kernels at the benchmark harness's geometry (:meth:`NECConfig.tiny`),
+    each reported with a best-of-N latency pair, the speedup and an
+    old-vs-new equivalence flag:
 
     - ``dtw_recognizer`` — the template recogniser's inner kernel: one word
       segment against a full template bank (pure-Python double loop vs the
       batched anti-diagonal :func:`repro.asr.dtw.dtw_distance_many`).
-    - ``batch_istft`` — the waveform-reconstruction kernel at the evaluation
-      geometry (per-clip sequential overlap-add vs one batched irfft + grouped
-      accumulation with a cached window-norm plan).
+    - ``batch_istft`` — the waveform-reconstruction kernel (per-clip
+      sequential overlap-add vs one batched irfft + grouped accumulation with
+      a cached window-norm plan).
     - ``butter_plan`` — the 192 kHz channel filter with and without the
       memoised Butterworth SOS design.
     - ``batched_driver`` — per-instance ``protect`` vs the shared
-      speaker-grouped :func:`repro.eval.common.batched_protections` driver
-      (skipped with ``include_driver=False``; it builds a small untrained
-      context).
-
-    ``config`` defaults to the benchmark harness's geometry
-    (:meth:`NECConfig.tiny`) — the shapes whose wall-clock the fast path is
-    built to cut; pass :meth:`NECConfig.default` / :meth:`NECConfig.paper`
-    to measure other geometries.
+      speaker-grouped :func:`repro.eval.common.batched_protections` driver.
     """
-    config = (config or NECConfig.tiny()).validate()
-    kernels = [
-        _dtw_kernel_timing(repetitions, seed),
-        _istft_kernel_timing(config, repetitions, seed),
-        _filter_plan_timing(repetitions, seed),
-    ]
-    if include_driver:
-        kernels.append(_driver_timing(repetitions, seed))
-    return EvalFastpathResult(kernels=kernels)
+    config = NECConfig.tiny().validate()
+    return EvalFastpathResult(
+        kernels=[
+            _dtw_kernel_timing(repetitions),
+            _istft_kernel_timing(config, repetitions),
+            _filter_plan_timing(repetitions),
+            _driver_timing(repetitions),
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +541,7 @@ def run_eval_fastpath_analysis(
 FLOAT32_WAVE_RTOL = 1e-4
 
 
-def _float32_inference_timing(
-    config: NECConfig, repetitions: int, seed: int
-) -> KernelTiming:
+def _float32_inference_timing(config: NECConfig, repetitions: int) -> KernelTiming:
     """The float32 evaluation fast path vs the float64 reference engine.
 
     ``reference`` is the batched protect engine under the default float64
@@ -494,95 +550,72 @@ def _float32_inference_timing(
     :data:`FLOAT32_WAVE_RTOL` — a tolerance gate, not bit-identity; that is
     the whole point of the reduced-precision mode.
     """
-    from repro.audio.signal import AudioSignal
-    from repro.core.pipeline import NECSystem
     from repro.nn.precision import inference_precision
 
-    rng = np.random.default_rng(seed)
-    system = NECSystem(config, seed=seed)
-    system.enroll(
-        [AudioSignal(rng.normal(scale=0.1, size=config.segment_samples), config.sample_rate)]
-    )
+    rng = np.random.default_rng(0)
+    system = _enrolled_system(config, rng)
     matrix = rng.normal(scale=0.1, size=(8, config.segment_samples))
 
-    def fast_call():
+    def fast():
         with inference_precision("float32"):
             return system.protect_segment_matrix(matrix)
 
-    reference = system.protect_segment_matrix(matrix)
-    fast = fast_call()
-    reference_waves = np.stack([r.shadow_wave.data for r in reference])
-    fast_waves = np.stack([r.shadow_wave.data for r in fast])
-    scale = float(np.abs(reference_waves).max()) or 1.0
-    max_diff = float(np.abs(reference_waves - fast_waves).max())
-    equivalent = max_diff / scale <= FLOAT32_WAVE_RTOL
-    reference_ms = _time_call_best(lambda: system.protect_segment_matrix(matrix), repetitions)
-    fast_ms = _time_call_best(fast_call, repetitions)
-    return KernelTiming("float32_inference", reference_ms, fast_ms, equivalent, max_diff)
+    def compare(reference, fast_results) -> Tuple[bool, float]:
+        reference_waves = np.stack([r.shadow_wave.data for r in reference])
+        fast_waves = np.stack([r.shadow_wave.data for r in fast_results])
+        scale = float(np.abs(reference_waves).max()) or 1.0
+        max_diff = float(np.abs(reference_waves - fast_waves).max())
+        return max_diff / scale <= FLOAT32_WAVE_RTOL, max_diff
+
+    return _kernel(
+        "float32_inference",
+        lambda: system.protect_segment_matrix(matrix),
+        fast,
+        compare,
+        repetitions,
+    )
 
 
-def _sharding_timing(
-    config: NECConfig,
-    repetitions: int,
-    seed: int,
-    num_workers: Optional[int] = None,
-) -> KernelTiming:
+def _sharding_timing(config: NECConfig, repetitions: int) -> KernelTiming:
     """The sharded eval runner vs its inline serial path on protect-shaped work.
 
     ``reference`` maps one ``protect_segment_matrix`` call per item inline;
-    ``fast`` shards the same items over forked workers.  The equivalence flag
-    asserts **bit-identical** shard results — the contract of
-    :func:`repro.eval.common.run_sharded` — for any worker count; the speedup
-    is only meaningful on multi-core machines (on a single core the fork
-    overhead makes it <= 1x by construction).
+    ``fast`` shards the same items over forked workers
+    (``REPRO_EVAL_WORKERS`` when set above 1, else the stream-worker
+    default).  The equivalence flag asserts **bit-identical** shard results
+    — the contract of :func:`repro.eval.common.run_sharded` — for any worker
+    count; the speedup is only meaningful on multi-core machines.
     """
-    from repro.audio.signal import AudioSignal
-    from repro.core.pipeline import NECSystem
     from repro.eval.common import resolve_num_workers, run_sharded
 
-    workers = resolve_num_workers(num_workers)
+    workers = resolve_num_workers()
     if workers <= 1:
-        workers = min(os.cpu_count() or 1, 4)
-    rng = np.random.default_rng(seed)
-    system = NECSystem(config, seed=seed)
-    system.enroll(
-        [AudioSignal(rng.normal(scale=0.1, size=config.segment_samples), config.sample_rate)]
-    )
+        workers = default_num_workers()
+    rng = np.random.default_rng(0)
+    system = _enrolled_system(config, rng)
     items = [rng.normal(scale=0.1, size=(2, config.segment_samples)) for _ in range(8)]
 
     def work(_index: int, matrix: np.ndarray) -> np.ndarray:
         results = system.protect_segment_matrix(matrix)
         return np.stack([result.shadow_wave.data for result in results])
 
-    serial = run_sharded(work, items, num_workers=1)
-    sharded = run_sharded(work, items, num_workers=workers)
-    equivalent = all(np.array_equal(a, b) for a, b in zip(serial, sharded))
-    reference_ms = _time_call_best(lambda: run_sharded(work, items, num_workers=1), repetitions)
-    fast_ms = _time_call_best(
-        lambda: run_sharded(work, items, num_workers=workers), repetitions
-    )
-    return KernelTiming(
-        "sharded_eval", reference_ms, fast_ms, equivalent, 0.0 if equivalent else float("inf")
+    return _kernel(
+        "sharded_eval",
+        lambda: run_sharded(work, items, num_workers=1),
+        lambda: run_sharded(work, items, num_workers=workers),
+        bit_identical,
+        repetitions,
     )
 
 
-def _scenario_grid_timing(
-    config: NECConfig,
-    repetitions: int,
-    seed: int,
-    num_workers: Optional[int] = None,
-) -> KernelTiming:
+def _scenario_grid_timing(config: NECConfig, repetitions: int) -> KernelTiming:
     """The batched+sharded scenario-grid runner vs the looped per-cell reference.
 
-    ``reference`` protects every scene with an individual ``protect`` call and
-    evaluates cells one by one; ``fast`` routes all protections through
-    :func:`repro.eval.common.batched_protections` and shards the cells over
-    :func:`repro.eval.common.run_sharded`.  Both paths share the same
-    measurement function, and the equivalence flag asserts **bit-identical**
-    cell reports — the contract ``benchmarks/test_scenarios.py`` additionally
-    pins across 1/2/4 workers.  On single-core hosts the fast path runs
-    inline (speedup ~1x from batching alone); the sharded win shows on
-    multi-core machines.
+    ``reference`` protects every scene with its own ``protect`` call;
+    ``fast`` batches the protections and shards the cells over
+    :func:`repro.eval.common.run_sharded`.  The equivalence flag asserts
+    bit-identical cell reports.  Below 4 cores the fast path runs inline
+    (unless ``REPRO_EVAL_WORKERS`` asks for more): batching alone.
     """
     from repro.eval.common import prepare_context, resolve_num_workers
     from repro.eval.scenarios import (
@@ -591,55 +624,42 @@ def _scenario_grid_timing(
         run_scenario_grid_looped,
     )
 
-    workers = resolve_num_workers(num_workers)
-    if workers <= 1 and (os.cpu_count() or 1) >= 4:
-        workers = min(os.cpu_count() or 1, 4)
+    workers = resolve_num_workers()
+    if workers <= 1 and default_num_workers() >= 4:
+        workers = default_num_workers()
     context = prepare_context(
-        config, num_speakers=4, examples_per_target=2, training_epochs=2, seed=seed
+        config, num_speakers=4, examples_per_target=2, training_epochs=2, seed=0
     )
     grid = ScenarioGrid(
         rooms=("anechoic", "small_office"),
         motions=("static", "walk_away"),
         crowd_sizes=(2, 3),
     )
-    reference = run_scenario_grid_looped(context, grid, seed=seed)
-    fast = run_scenario_grid(context, grid, seed=seed, num_workers=workers)
-    equivalent = len(reference.cells) == len(fast.cells) and all(
-        a.to_dict() == b.to_dict() for a, b in zip(reference.cells, fast.cells)
-    )
-    reference_ms = _time_call_best(
-        lambda: run_scenario_grid_looped(context, grid, seed=seed), repetitions
-    )
-    fast_ms = _time_call_best(
-        lambda: run_scenario_grid(context, grid, seed=seed, num_workers=workers), repetitions
-    )
-    return KernelTiming(
-        "scenario_grid", reference_ms, fast_ms, equivalent, 0.0 if equivalent else float("inf")
+
+    return _kernel(
+        "scenario_grid",
+        lambda: run_scenario_grid_looped(context, grid, seed=0),
+        lambda: run_scenario_grid(context, grid, seed=0, num_workers=workers),
+        lambda reference, fast: _verdict(
+            [cell.to_dict() for cell in reference.cells]
+            == [cell.to_dict() for cell in fast.cells]
+        ),
+        repetitions,
     )
 
 
-def _streaming_timing(config: NECConfig, repetitions: int, seed: int) -> KernelTiming:
+def _streaming_timing(config: NECConfig, repetitions: int) -> KernelTiming:
     """Cross-stream coalesced inference vs per-stream sequential passes.
 
-    ``reference`` runs one Selector pass per stream (the pre-``StreamBatch``
-    serving pattern); ``fast`` coalesces all streams' pending segments into
-    one :meth:`repro.core.selector.StreamBatch.tick`.  The equivalence flag
-    asserts bit-identical shadows — coalescing must never change a number.
-    The speedup is hardware-shaped: batching amortises dispatch, and on
-    multi-core hosts the tick fans independent chunks out to worker threads;
-    on a single core it hovers near 1x (the full picture lives in
-    :func:`run_streaming_rtf_analysis` / ``BENCH_streaming.json``).
+    ``reference`` runs one Selector pass per stream; ``fast`` coalesces all
+    eight streams' segments into one :meth:`StreamBatch.tick`, which fans
+    chunks out to worker threads on multi-core hosts.  The equivalence flag
+    asserts bit-identical shadows.
     """
-    from repro.audio.signal import AudioSignal
-    from repro.core.pipeline import NECSystem
     from repro.core.selector import StreamBatch
-    from repro.dsp.stft import batch_stft
 
-    rng = np.random.default_rng(seed)
-    system = NECSystem(config, seed=seed)
-    system.enroll(
-        [AudioSignal(rng.normal(scale=0.1, size=config.segment_samples), config.sample_rate)]
-    )
+    rng = np.random.default_rng(0)
+    system = _enrolled_system(config, rng)
     embedding = system.embedding
     num_streams = 8
     spectrograms = [
@@ -651,101 +671,70 @@ def _streaming_timing(config: NECConfig, repetitions: int, seed: int) -> KernelT
         )[None, :, :]
         for _ in range(num_streams)
     ]
-    workers = min(os.cpu_count() or 1, 4)
-    chunk = max(1, -(-num_streams // workers)) if workers > 1 else 4
-    batch = StreamBatch(system.selector, max_batch_segments=chunk, num_workers=workers)
-
-    def sequential():
-        return [
-            system.selector.shadow_spectrogram_batch(spec, embedding)
-            for spec in spectrograms
-        ]
+    workers = default_num_workers()
+    batch = StreamBatch(
+        system.selector,
+        max_batch_segments=tick_chunk(num_streams, workers, 4),
+        num_workers=workers,
+    )
 
     def coalesced():
         requests = [batch.submit(spec, embedding) for spec in spectrograms]
         batch.tick()
         return [request.shadow_spectrograms for request in requests]
 
-    reference = sequential()
-    fast = coalesced()
-    equivalent = all(np.array_equal(a, b) for a, b in zip(reference, fast))
-    reference_ms = _time_call_best(sequential, repetitions)
-    fast_ms = _time_call_best(coalesced, repetitions)
-    return KernelTiming(
-        "streaming_coalesce", reference_ms, fast_ms, equivalent, 0.0 if equivalent else float("inf")
+    return _kernel(
+        "streaming_coalesce",
+        lambda: [
+            system.selector.shadow_spectrogram_batch(spec, embedding)
+            for spec in spectrograms
+        ],
+        coalesced,
+        bit_identical,
+        repetitions,
     )
 
 
-def _serving_timing(config: NECConfig, repetitions: int, seed: int) -> KernelTiming:
+def _serving_timing(config: NECConfig, repetitions: int) -> KernelTiming:
     """End-to-end service pass vs direct per-stream streaming protectors.
 
-    ``reference`` protects four concurrent streams with a dedicated
-    immediate-mode :class:`~repro.core.pipeline.StreamingProtector` each;
-    ``fast`` routes the same chunks through a live
-    :class:`~repro.serving.service.ProtectionService` — memory-only registry,
-    background tick thread, shared coalescing batch — and collects per
-    session.  The equivalence flag asserts bit-identical shadow waves: the
-    whole serving layer (registry d-vector restore included) must be
-    bit-transparent on top of the stream engine.  The ratio mostly prices the
-    scheduling hop (condition variables, tick thread) against coalescing, so
-    on a single core it hovers near 1x — the gate is the equivalence, the
-    trend over PRs is what the trajectory is for.
+    ``reference`` protects four concurrent streams with
+    :func:`direct_stream_waves`; ``fast`` starts a live
+    :class:`~repro.serving.service.ProtectionService` (memory-only registry,
+    tick thread, shared coalescing batch), runs the same chunks through
+    :func:`serve_streams` and stops it.  The equivalence flag asserts
+    bit-identical shadow waves.  The ratio mostly prices the scheduling hop
+    against coalescing, so on a single core it hovers near 1x.
     """
-    from repro.audio.signal import AudioSignal
-    from repro.core.pipeline import NECSystem, StreamingProtector
     from repro.serving.registry import EnrollmentRegistry
     from repro.serving.service import ProtectionService
 
-    rng = np.random.default_rng(seed)
-    system = NECSystem(config, seed=seed)
-    system.enroll(
-        [AudioSignal(rng.normal(scale=0.1, size=config.segment_samples), config.sample_rate)]
-    )
+    rng = np.random.default_rng(0)
+    system = _enrolled_system(config, rng)
     registry = EnrollmentRegistry(None, config=config)
     registry.register("tenant", system.embedding)
-    num_streams = 4
     segment = config.segment_samples
-    stream_audio = [
-        rng.normal(scale=0.1, size=2 * segment) for _ in range(num_streams)
-    ]
-
-    def direct():
-        waves = []
-        for audio in stream_audio:
-            protector = StreamingProtector(system)
-            for start in range(0, audio.size, segment):
-                for result in protector.feed(audio[start : start + segment]):
-                    waves.append(result.shadow_wave.data)
-        return waves
+    stream_audio = [rng.normal(scale=0.1, size=2 * segment) for _ in range(4)]
 
     def served():
-        waves_per_stream = [[] for _ in range(num_streams)]
         with ProtectionService(
             registry, system=system, num_workers=1, poll_interval_s=0.005
         ) as service:
-            sessions = [service.open_session("tenant") for _ in range(num_streams)]
-            for start in range(0, 2 * segment, segment):
-                for index, session in enumerate(sessions):
-                    session.feed(stream_audio[index][start : start + segment])
-                for index, session in enumerate(sessions):
-                    while len(waves_per_stream[index]) < start // segment + 1:
-                        for result in session.collect(wait=True):
-                            waves_per_stream[index].append(result.shadow_wave.data)
-        return [wave for stream in waves_per_stream for wave in stream]
+            waves, _, _, _ = serve_streams(
+                service, ["tenant"] * len(stream_audio), stream_audio, segment
+            )
+        return waves
 
-    reference = direct()
-    fast = served()
-    equivalent = len(reference) == len(fast) and all(
-        np.array_equal(a, b) for a, b in zip(reference, fast)
-    )
-    reference_ms = _time_call_best(direct, repetitions)
-    fast_ms = _time_call_best(served, repetitions)
-    return KernelTiming(
-        "serving_e2e", reference_ms, fast_ms, equivalent, 0.0 if equivalent else float("inf")
+    return _kernel(
+        "serving_e2e",
+        lambda: direct_stream_waves([system] * len(stream_audio), stream_audio, segment),
+        served,
+        bit_identical,
+        repetitions,
     )
 
 
-def _train_minibatch_timing(config: NECConfig, repetitions: int, seed: int) -> KernelTiming:
+def _train_minibatch_timing(config: NECConfig, repetitions: int) -> KernelTiming:
     """One minibatched training step vs the per-example reference loop.
 
     ``reference`` takes one :meth:`SelectorTrainer.step` per example (the
@@ -763,17 +752,15 @@ def _train_minibatch_timing(config: NECConfig, repetitions: int, seed: int) -> K
     from repro.core.training import ExampleStream, SelectorTrainer
     from repro.nn.grad_check import check_batched_gradients
 
-    training = TrainingConfig(batch_size=8, num_examples_per_target=4, seed=seed)
-    corpus = SyntheticCorpus(num_speakers=4, sample_rate=config.sample_rate, seed=seed)
+    training = TrainingConfig(batch_size=8, num_examples_per_target=4, seed=0)
+    corpus = SyntheticCorpus(num_speakers=4, sample_rate=config.sample_rate, seed=0)
     targets, others = corpus.split_speakers(2, None)
-    encoder = SpectralEncoder(config, seed=seed)
-    stream = ExampleStream(
-        corpus, encoder, config, targets, others, training=training, seed=seed
-    )
+    encoder = SpectralEncoder(config, seed=0)
+    stream = ExampleStream(corpus, encoder, config, targets, others, training=training, seed=0)
     examples = stream.take(training.batch_size)
 
     # Gradient equivalence on one shared parameter set.
-    checker = SelectorTrainer(Selector(config, seed=seed), config=training)
+    checker = SelectorTrainer(Selector(config, seed=0), config=training)
     try:
         max_error = check_batched_gradients(
             lambda: checker.batch_loss(examples),
@@ -786,13 +773,15 @@ def _train_minibatch_timing(config: NECConfig, repetitions: int, seed: int) -> K
 
     # Throughput on two identically-seeded trainers (parameter values drift
     # over repeated timed steps, but the work per step is value-independent).
-    looped = SelectorTrainer(Selector(config, seed=seed), config=training)
-    batched = SelectorTrainer(Selector(config, seed=seed), config=training)
-    reference_ms = _time_call_best(
-        lambda: [looped.step(example) for example in examples], repetitions
+    looped = SelectorTrainer(Selector(config, seed=0), config=training)
+    batched = SelectorTrainer(Selector(config, seed=0), config=training)
+    return _kernel(
+        "train_minibatch",
+        lambda: [looped.step(example) for example in examples],
+        lambda: batched.step_batch(examples),
+        lambda _looped, _batched: (equivalent, max_error),
+        repetitions,
     )
-    fast_ms = _time_call_best(lambda: batched.step_batch(examples), repetitions)
-    return KernelTiming("train_minibatch", reference_ms, fast_ms, equivalent, max_error)
 
 
 @dataclass
@@ -807,18 +796,6 @@ class TrainingScaleSide:
     wall_clock_s: float
     final_loss: float
     suppression_db: float    # mean predicted suppression over the eval mixtures
-
-    def to_dict(self) -> Dict:
-        return {
-            "engine": self.engine,
-            "selector_channels": self.selector_channels,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "steps": self.steps,
-            "wall_clock_s": self.wall_clock_s,
-            "final_loss": self.final_loss,
-            "suppression_db": self.suppression_db,
-        }
 
 
 @dataclass
@@ -884,40 +861,32 @@ class TrainingBenchResult:
                 "max_abs_difference": timing.max_abs_difference,
             },
             "scale_run": {
-                "reference": self.reference.to_dict(),
-                "scaled": self.scaled.to_dict(),
+                "reference": asdict(self.reference),
+                "scaled": asdict(self.scaled),
                 "within_wall_clock": self.within_wall_clock,
                 "better_suppression": self.better_suppression,
             },
         }
 
 
-def run_training_analysis(
-    config: Optional[NECConfig] = None,
-    repetitions: int = 3,
-    seed: int = 0,
-    scaled_channels: int = 8,
-    reference_epochs: int = 8,
-    scaled_epochs: int = 5,
-) -> TrainingBenchResult:
+def run_training_analysis() -> TrainingBenchResult:
     """Benchmark the minibatched training fast path end to end.
 
-    Two measurements:
+    Two measurements at the benchmark geometry (:meth:`NECConfig.tiny`):
 
     - **Step throughput** — the ``train_minibatch`` kernel: one
-      :meth:`SelectorTrainer.step_batch` over a stacked batch vs one
-      :meth:`SelectorTrainer.step` per example, gradient-equivalence checked
-      by :func:`repro.nn.grad_check.check_batched_gradients`.
+      :meth:`SelectorTrainer.step_batch` over a stacked batch of 8 vs one
+      :meth:`SelectorTrainer.step` per example (best of 3), gradient
+      equivalence checked by :func:`repro.nn.grad_check.check_batched_gradients`.
     - **Scale run** — what the freed wall-clock buys.  The reference side is
-      the seed engine exactly: the stock Selector trained by the per-example
-      loop (:meth:`SelectorTrainer.fit_looped`).  The scaled side trains a
-      Selector with ``scaled_channels`` channels (vs the stock geometry's 4 at
-      the tiny config) through the minibatched engine for ``scaled_epochs``
-      one-batch epochs.  Both sides then protect the same held-out mixtures;
-      the scaled run must reach **strictly better mean predicted suppression
-      within the reference run's wall-clock**.  Step counts are fixed on both
-      sides, so the suppression numbers are deterministic — only the two
-      wall-clock readings carry timing noise.
+      the seed engine exactly: the stock Selector trained for 8 epochs by the
+      per-example loop (:meth:`SelectorTrainer.fit_looped`).  The scaled side
+      trains an 8-channel Selector (vs the stock 4) through the minibatched
+      engine for 5 one-batch epochs.  Both sides then protect the same
+      held-out mixtures; the scaled run must reach **strictly better mean
+      predicted suppression within the reference run's wall-clock**.  Step
+      counts are fixed on both sides, so the suppression numbers are
+      deterministic — only the two wall-clock readings carry timing noise.
     """
     from dataclasses import replace as _dc_replace
 
@@ -928,11 +897,11 @@ def run_training_analysis(
     from repro.core.seeding import derive_seed
     from repro.core.training import ExampleStream, SelectorTrainer
 
-    config = (config or NECConfig.tiny()).validate()
-    throughput = _train_minibatch_timing(config, repetitions, seed)
+    config = NECConfig.tiny().validate()
+    throughput = _train_minibatch_timing(config, repetitions=3)
     batch_size = 8
 
-    corpus = SyntheticCorpus(num_speakers=8, sample_rate=config.sample_rate, seed=seed)
+    corpus = SyntheticCorpus(num_speakers=8, sample_rate=config.sample_rate, seed=0)
     targets, others = corpus.split_speakers(2, None)
 
     def evaluate_suppression(side_config: NECConfig, selector, encoder) -> float:
@@ -966,20 +935,18 @@ def run_training_analysis(
         return float(np.mean(values))
 
     def run_side(side_config: NECConfig, engine: str, epochs: int) -> TrainingScaleSide:
-        encoder = SpectralEncoder(side_config, seed=seed)
-        training = TrainingConfig(
-            batch_size=batch_size, num_examples_per_target=4, seed=seed
-        )
+        encoder = SpectralEncoder(side_config, seed=0)
+        training = TrainingConfig(batch_size=batch_size, num_examples_per_target=4, seed=0)
         stream = ExampleStream(
-            corpus, encoder, side_config, targets, others, training=training, seed=seed
+            corpus, encoder, side_config, targets, others, training=training, seed=0
         )
         examples = stream.take(batch_size)
-        trainer = SelectorTrainer(Selector(side_config, seed=seed), config=training)
+        trainer = SelectorTrainer(Selector(side_config, seed=0), config=training)
         start = time.perf_counter()
         if engine == "looped":
-            history = trainer.fit_looped(examples, epochs=epochs, seed=seed)
+            history = trainer.fit_looped(examples, epochs=epochs, seed=0)
         else:
-            history = trainer.fit(examples, epochs=epochs, seed=seed, batch_size=batch_size)
+            history = trainer.fit(examples, epochs=epochs, seed=0, batch_size=batch_size)
         wall_clock_s = time.perf_counter() - start
         return TrainingScaleSide(
             engine=engine,
@@ -992,14 +959,12 @@ def run_training_analysis(
             suppression_db=evaluate_suppression(side_config, trainer.selector, encoder),
         )
 
-    scaled_config = _dc_replace(config, selector_channels=scaled_channels).validate()
-    reference = run_side(config, "looped", reference_epochs)
-    scaled = run_side(scaled_config, "minibatched", scaled_epochs)
+    scaled_config = _dc_replace(config, selector_channels=8).validate()
     return TrainingBenchResult(
         throughput=throughput,
         batch_size=batch_size,
-        reference=reference,
-        scaled=scaled,
+        reference=run_side(config, "looped", epochs=8),
+        scaled=run_side(scaled_config, "minibatched", epochs=5),
     )
 
 
@@ -1011,54 +976,56 @@ def _config_signature(config: NECConfig) -> str:
     )
 
 
+def host_fingerprint() -> Dict:
+    """The machine a trajectory entry was measured on."""
+    import scipy
+
+    return {
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+    }
+
+
 def run_perf_trajectory(
-    config: Optional[NECConfig] = None,
     path: Optional[str] = None,
     label: Optional[str] = None,
     repetitions: int = 3,
-    seed: int = 0,
-    num_workers: Optional[int] = None,
 ) -> Dict:
     """Re-time every BENCH kernel and record one entry in the trajectory file.
 
     The trajectory (``BENCH_trajectory.json`` by default, override with
     ``path`` or the ``BENCH_TRAJECTORY_JSON`` environment variable) is the
-    repo's persistent perf record: one entry per PR/run, each holding the
-    full kernel table — the four evaluation fast-path kernels plus the
-    precision (``float32_inference``), parallelism (``sharded_eval``),
-    cross-stream coalescing (``streaming_coalesce``), end-to-end serving
-    (``serving_e2e``), scenario-matrix (``scenario_grid``) and minibatched
-    training (``train_minibatch``) kernels.  CI
-    records an
-    entry on every run, uploads the file, and fails if any kernel's
-    ``equivalent`` flag is false.
+    repo's persistent perf record: one entry per run, holding the host
+    (:func:`host_fingerprint`) and every kernel at :meth:`NECConfig.tiny` —
+    the four evaluation fast-path kernels plus ``float32_inference``,
+    ``train_minibatch``, ``streaming_coalesce``, ``serving_e2e``,
+    ``scenario_grid`` and, on >= 4 cores only (below that fork overhead
+    makes the sample meaningless), ``sharded_eval``.
 
-    Entries are keyed by ``(label, config)``: re-running at the same git sha
-    and benchmark geometry *replaces* the earlier entry instead of appending
-    a duplicate, so retried CI runs and local reruns don't pollute the
-    per-PR series.  The ``sharded_eval`` kernel is only recorded on machines
-    with >= 4 cores — below that the fork overhead forces a meaningless
-    sub-1x sample that would pollute the trajectory (its bit-stability is
-    still covered by the tier-1 suite everywhere).
-
-    Returns the recorded entry (the full payload sits at ``path``).
+    Entries are keyed by ``(label, config)``: a rerun at the same git sha and
+    geometry *replaces* the earlier entry.  Returns the recorded entry.
     """
-    config = (config or NECConfig.tiny()).validate()
-    result = run_eval_fastpath_analysis(config=config, repetitions=repetitions, seed=seed)
+    config = NECConfig.tiny().validate()
+    result = run_eval_fastpath_analysis(repetitions=repetitions)
     # train_minibatch runs *before* the serving/scenario kernels: spinning up
     # and tearing down the ProtectionService leaves allocator/scheduler state
     # that durably skews later single-core timings (the looped im2col
     # reference speeds up ~35-45% afterwards while the FFT path barely moves,
     # compressing the measured ratio well below what a fresh process sees).
     kernels = list(result.kernels) + [
-        _float32_inference_timing(config, repetitions, seed),
-        _train_minibatch_timing(config, repetitions, seed),
-        _streaming_timing(config, repetitions, seed),
-        _serving_timing(config, repetitions, seed),
-        _scenario_grid_timing(config, repetitions, seed, num_workers=num_workers),
+        _float32_inference_timing(config, repetitions),
+        _train_minibatch_timing(config, repetitions),
+        _streaming_timing(config, repetitions),
+        _serving_timing(config, repetitions),
+        _scenario_grid_timing(config, repetitions),
     ]
-    if (os.cpu_count() or 1) >= 4:
-        kernels.append(_sharding_timing(config, repetitions, seed, num_workers=num_workers))
+    if default_num_workers() >= 4:
+        kernels.append(_sharding_timing(config, repetitions))
 
     if path is None:
         path = os.environ.get("BENCH_TRAJECTORY_JSON", "") or os.path.join(
@@ -1078,18 +1045,9 @@ def run_perf_trajectory(
         "label": label or os.environ.get("REPRO_BENCH_LABEL", "unlabeled"),
         "config": signature,
         "timestamp": time.time(),
+        "host": host_fingerprint(),
         "all_equivalent": all(timing.equivalent for timing in kernels),
-        "kernels": [
-            {
-                "name": timing.name,
-                "reference_ms": timing.reference_ms,
-                "fast_ms": timing.fast_ms,
-                "speedup": timing.speedup,
-                "equivalent": timing.equivalent,
-                "max_abs_difference": timing.max_abs_difference,
-            }
-            for timing in kernels
-        ],
+        "kernels": [timing.to_dict() for timing in kernels],
     }
     # Same (label, config) -> replace, don't append: a retried run supersedes
     # its earlier sample.  Legacy entries carry no config field; they were all
@@ -1111,11 +1069,11 @@ def run_perf_trajectory(
 # ---------------------------------------------------------------------------
 # Real-time streaming: ring-buffer pipeline RTF, latency budget, micro-batching
 # ---------------------------------------------------------------------------
-#: Default per-feed latency budget for the streaming benchmark, anchored to the
-#: paper's overshadowing tolerance: a shadow that lags its speech by more than
-#: ~300 ms no longer cancels it in the recording (Sec. IV-C2).  Any single
-#: ``feed`` — including the one that completes a segment and pays the Selector
-#: pass — must return within this budget.
+#: Per-feed latency budget of the streaming and serving benchmarks, anchored
+#: to the paper's overshadowing tolerance: a shadow that lags its speech by
+#: more than ~300 ms no longer cancels it in the recording (Sec. IV-C2).  Any
+#: single ``feed`` — including the one that completes a segment and pays the
+#: Selector pass — must return within this budget.
 STREAMING_LATENCY_BUDGET_MS = 300.0
 
 
@@ -1133,10 +1091,6 @@ class StreamChunkTiming:
     budget_violations: int
     equivalent: bool                # concatenated stream output == protect()
 
-    @property
-    def real_time(self) -> bool:
-        return self.rtf < 1.0
-
 
 @dataclass
 class StreamScalingTiming:
@@ -1146,7 +1100,7 @@ class StreamScalingTiming:
     segments_per_stream: int
     sequential_ms: float            # all streams, immediate per-stream feeds
     coalesced_ms: float             # same audio through a shared StreamBatch
-    coalesced_rtf: float            # coalesced wall-clock / total audio duration
+    rtf: float                      # coalesced wall-clock / total audio duration
     equivalent: bool                # both modes emit identical shadow waves
 
     @property
@@ -1157,7 +1111,7 @@ class StreamScalingTiming:
 
     @property
     def real_time(self) -> bool:
-        return self.coalesced_rtf < 1.0
+        return self.rtf < 1.0
 
 
 @dataclass
@@ -1194,9 +1148,9 @@ class StreamingRuntimeResult:
         if not self.scaling_timings:
             return 0
         largest = max(self.scaling_timings, key=lambda t: t.num_streams)
-        if largest.coalesced_rtf <= 0:
+        if largest.rtf <= 0:
             return largest.num_streams
-        return int(largest.num_streams / largest.coalesced_rtf)
+        return int(largest.num_streams / largest.rtf)
 
     def scaling(self, num_streams: int) -> StreamScalingTiming:
         for timing in self.scaling_timings:
@@ -1227,7 +1181,7 @@ class StreamingRuntimeResult:
                 timing.sequential_ms,
                 timing.coalesced_ms,
                 f"{timing.speedup:.2f}x",
-                f"{timing.coalesced_rtf:.3f}",
+                f"{timing.rtf:.3f}",
                 str(timing.equivalent),
             ]
             for timing in self.scaling_timings
@@ -1251,90 +1205,58 @@ class StreamingRuntimeResult:
             "budget_violations": self.budget_violations,
             "max_streams_rtf_below_1": self.max_streams_rtf_below_1,
             "projected_max_streams_per_core": self.projected_max_streams_per_core,
-            "chunks": [
-                {
-                    "chunk_seconds": timing.chunk_seconds,
-                    "chunk_samples": timing.chunk_samples,
-                    "feeds": timing.feeds,
-                    "mean_feed_ms": timing.mean_feed_ms,
-                    "worst_feed_ms": timing.worst_feed_ms,
-                    "rtf": timing.rtf,
-                    "budget_ms": timing.budget_ms,
-                    "budget_violations": timing.budget_violations,
-                    "equivalent": timing.equivalent,
-                }
-                for timing in self.chunk_timings
-            ],
+            "chunks": [asdict(timing) for timing in self.chunk_timings],
             "scaling": [
-                {
-                    "num_streams": timing.num_streams,
-                    "segments_per_stream": timing.segments_per_stream,
-                    "sequential_ms": timing.sequential_ms,
-                    "coalesced_ms": timing.coalesced_ms,
-                    "speedup": timing.speedup,
-                    "rtf": timing.coalesced_rtf,
-                    "equivalent": timing.equivalent,
-                }
+                {**asdict(timing), "speedup": timing.speedup}
                 for timing in self.scaling_timings
             ],
         }
 
 
-def run_streaming_rtf_analysis(
-    config: Optional[NECConfig] = None,
-    chunk_seconds: tuple = (0.01, 0.1, 1.0),
-    stream_counts: tuple = (1, 2, 4, 8),
-    segments_per_stream: int = 2,
-    clip_segments: float = 2.34,
-    latency_budget_ms: float = STREAMING_LATENCY_BUDGET_MS,
-    repetitions: int = 2,
-    seed: int = 0,
-    num_workers: Optional[int] = None,
-) -> StreamingRuntimeResult:
+def run_streaming_rtf_analysis(repetitions: int = 2) -> StreamingRuntimeResult:
     """Benchmark the real-time streaming fast path end to end.
 
-    Two studies, both on the paper's deployment timing (``config`` defaults to
-    :meth:`NECConfig.default`: 16 kHz, hop 160, 1 s segments):
+    Two studies on the paper's deployment timing (:meth:`NECConfig.default`:
+    16 kHz, hop 160, 1 s segments):
 
-    - **Chunk-size RTF** — one stream fed chunk by chunk through the
-      ring-buffer :class:`~repro.core.pipeline.StreamingProtector` (plus the
-      flush tail), for each chunk duration in ``chunk_seconds``.  Reports the
+    - **Chunk-size RTF** — one 2.34-segment stream fed chunk by chunk through
+      the ring-buffer :class:`~repro.core.pipeline.StreamingProtector` (plus
+      the flush tail), in 10 ms, 100 ms and 1 s chunks.  Reports the
       real-time factor (total feed wall-clock over audio duration), per-feed
-      latency, and violations of ``latency_budget_ms`` — the paper's ~300 ms
-      overshadowing tolerance.  The concatenated output is checked
-      sample-exact against :meth:`NECSystem.protect` on the whole clip.
-    - **Stream scaling** — for each count in ``stream_counts``, N concurrent
-      streams each deliver ``segments_per_stream`` segments.  ``sequential``
-      protects each stream's segment with its own immediate feed;
-      ``coalesced`` routes all streams through one shared
-      :class:`~repro.core.selector.StreamBatch` and pays one tick per round.
-      Both modes must emit bit-identical shadow waves.  The headline numbers
-      are the largest stream count with RTF < 1 and the RTF-linear projection
-      of the per-core capacity.
+      latency, and violations of :data:`STREAMING_LATENCY_BUDGET_MS` — the
+      paper's ~300 ms overshadowing tolerance.  The concatenated output is
+      checked sample-exact against :meth:`NECSystem.protect` on the whole
+      clip.
+    - **Stream scaling** — 1, 2, 4 and 8 concurrent streams each deliver two
+      segments.  ``sequential`` protects each stream's segment with its own
+      immediate feed (:func:`direct_stream_waves`); ``coalesced`` routes all
+      streams through one shared :class:`~repro.core.selector.StreamBatch`
+      and pays one tick per round.  Both modes must emit bit-identical shadow
+      waves.  The headline numbers are the largest stream count with RTF < 1
+      and the RTF-linear projection of the per-core capacity.
     """
     from repro.audio.signal import AudioSignal
-    from repro.core.pipeline import NECSystem, StreamingProtector
+    from repro.core.pipeline import StreamingProtector
     from repro.core.selector import StreamBatch
 
-    config = (config or NECConfig.default()).validate()
-    rng = np.random.default_rng(seed)
-    system = NECSystem(config, seed=seed)
-    system.enroll(
-        [AudioSignal(rng.normal(scale=0.1, size=config.segment_samples), config.sample_rate)]
-    )
+    config = NECConfig.default().validate()
+    rng = np.random.default_rng(0)
+    system = _enrolled_system(config, rng)
     segment = config.segment_samples
-    workers = num_workers if num_workers is not None else min(os.cpu_count() or 1, 4)
+    workers = default_num_workers()
+    budget_ms = STREAMING_LATENCY_BUDGET_MS
 
     # -- chunk-size RTF study -------------------------------------------------
-    clip_samples = int(clip_segments * segment)
+    clip_samples = int(2.34 * segment)
     clip = AudioSignal(rng.normal(scale=0.1, size=clip_samples), config.sample_rate)
     whole = system.protect(clip)
+    audio_seconds = clip_samples / config.sample_rate
     chunk_timings: List[StreamChunkTiming] = []
-    for seconds in chunk_seconds:
+    for seconds in (0.01, 0.1, 1.0):
         chunk_samples = max(int(seconds * config.sample_rate), 1)
 
         def stream_once() -> tuple:
-            protector = StreamingProtector(system, latency_budget_ms=latency_budget_ms)
+            protector = StreamingProtector(system, latency_budget_ms=budget_ms)
             waves = []
             for start in range(0, clip_samples, chunk_samples):
                 for result in protector.feed(clip.data[start : start + chunk_samples]):
@@ -1344,83 +1266,71 @@ def run_streaming_rtf_analysis(
                 waves.append(tail.shadow_wave.data)
             return np.concatenate(waves), protector.latency
 
-        wave, _ = stream_once()
-        equivalent = bool(np.array_equal(wave, whole.shadow_wave.data))
-        best_stats = None
-        for _ in range(max(repetitions, 1)):
-            _, stats = stream_once()
-            if best_stats is None or stats.total_feed_ms < best_stats.total_feed_ms:
-                best_stats = stats
-        audio_seconds = clip_samples / config.sample_rate
+        wave, _ = stream_once()  # warm-up, and the equivalence check's input
+        best = min(
+            (stream_once()[1] for _ in range(max(repetitions, 1))),
+            key=lambda stats: stats.total_feed_ms,
+        )
         chunk_timings.append(
             StreamChunkTiming(
                 chunk_seconds=float(seconds),
                 chunk_samples=chunk_samples,
-                feeds=best_stats.feeds,
-                mean_feed_ms=best_stats.mean_feed_ms,
-                worst_feed_ms=best_stats.worst_feed_ms,
-                rtf=best_stats.total_feed_ms / 1000.0 / audio_seconds,
-                budget_ms=latency_budget_ms,
-                budget_violations=best_stats.budget_violations,
-                equivalent=equivalent,
+                feeds=best.feeds,
+                mean_feed_ms=best.mean_feed_ms,
+                worst_feed_ms=best.worst_feed_ms,
+                rtf=best.total_feed_ms / 1000.0 / audio_seconds,
+                budget_ms=budget_ms,
+                budget_violations=best.budget_violations,
+                equivalent=bool(np.array_equal(wave, whole.shadow_wave.data)),
             )
         )
 
     # -- stream scaling study -------------------------------------------------
-    scaling_timings: List[StreamScalingTiming] = []
-    max_streams = max(stream_counts)
+    segments_per_stream = 2
+    stream_counts = (1, 2, 4, 8)
     stream_audio = [
         rng.normal(scale=0.1, size=segments_per_stream * segment)
-        for _ in range(max_streams)
+        for _ in range(max(stream_counts))
     ]
+    scaling_timings: List[StreamScalingTiming] = []
     for count in stream_counts:
         audio = stream_audio[:count]
 
-        def run_sequential() -> List[np.ndarray]:
-            protectors = [StreamingProtector(system) for _ in range(count)]
-            waves: List[List[np.ndarray]] = [[] for _ in range(count)]
-            for round_index in range(segments_per_stream):
-                start = round_index * segment
-                for index, protector in enumerate(protectors):
-                    for result in protector.feed(audio[index][start : start + segment]):
-                        waves[index].append(result.shadow_wave.data)
-            return [np.concatenate(per_stream) for per_stream in waves]
-
-        def run_coalesced() -> List[np.ndarray]:
-            chunk = max(1, -(-count // workers)) if workers > 1 else 4
+        def coalesced() -> List[List[np.ndarray]]:
             batch = StreamBatch(
-                system.selector, max_batch_segments=chunk, num_workers=workers
+                system.selector,
+                max_batch_segments=tick_chunk(count, workers, 4),
+                num_workers=workers,
             )
             protectors = [
                 StreamingProtector(system, stream_batch=batch) for _ in range(count)
             ]
             waves: List[List[np.ndarray]] = [[] for _ in range(count)]
-            for round_index in range(segments_per_stream):
-                start = round_index * segment
+            for start in range(0, segments_per_stream * segment, segment):
                 for index, protector in enumerate(protectors):
                     protector.feed(audio[index][start : start + segment])
                 batch.tick()
                 for index, protector in enumerate(protectors):
                     for result in protector.collect():
                         waves[index].append(result.shadow_wave.data)
-            return [np.concatenate(per_stream) for per_stream in waves]
+            return waves
 
-        sequential_waves = run_sequential()
-        coalesced_waves = run_coalesced()
-        equivalent = all(
-            np.array_equal(a, b) for a, b in zip(sequential_waves, coalesced_waves)
+        timing = _kernel(
+            f"streaming_x{count}",
+            lambda: direct_stream_waves([system] * count, audio, segment),
+            coalesced,
+            bit_identical,
+            repetitions,
         )
-        sequential_ms = _time_call_best(run_sequential, repetitions)
-        coalesced_ms = _time_call_best(run_coalesced, repetitions)
-        audio_seconds = count * segments_per_stream * segment / config.sample_rate
+        total_seconds = count * segments_per_stream * segment / config.sample_rate
         scaling_timings.append(
             StreamScalingTiming(
                 num_streams=count,
                 segments_per_stream=segments_per_stream,
-                sequential_ms=sequential_ms,
-                coalesced_ms=coalesced_ms,
-                coalesced_rtf=coalesced_ms / 1000.0 / audio_seconds,
-                equivalent=equivalent,
+                sequential_ms=timing.reference_ms,
+                coalesced_ms=timing.fast_ms,
+                rtf=timing.fast_ms / 1000.0 / total_seconds,
+                equivalent=timing.equivalent,
             )
         )
 
@@ -1428,7 +1338,7 @@ def run_streaming_rtf_analysis(
         sample_rate=config.sample_rate,
         segment_samples=segment,
         hop_length=config.hop_length,
-        latency_budget_ms=latency_budget_ms,
+        latency_budget_ms=budget_ms,
         num_workers=workers,
         chunk_timings=chunk_timings,
         scaling_timings=scaling_timings,

@@ -24,17 +24,23 @@ from __future__ import annotations
 
 import os
 import tempfile
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.audio.signal import AudioSignal
 from repro.core.config import NECConfig
-from repro.core.pipeline import NECSystem, StreamingProtector
+from repro.core.pipeline import NECSystem
+from repro.core.selector import default_num_workers
 from repro.eval.reporting import format_table
-from repro.eval.runtime import STREAMING_LATENCY_BUDGET_MS
+from repro.eval.runtime import (
+    STREAMING_LATENCY_BUDGET_MS,
+    bit_identical,
+    direct_stream_waves,
+    serve_streams,
+    tick_chunk,
+)
 from repro.serving.registry import EnrollmentRegistry
 from repro.serving.service import ProtectionService
 
@@ -80,12 +86,6 @@ class ServingResult:
     def budget_violations(self) -> int:
         return sum(point.budget_violations for point in self.points)
 
-    def point(self, num_streams: int) -> ServingPoint:
-        for point in self.points:
-            if point.num_streams == num_streams:
-                return point
-        raise KeyError(f"no serving point at {num_streams} streams")
-
     def table(self) -> str:
         rows = [
             [
@@ -129,68 +129,42 @@ class ServingResult:
             "registry_round_trip": self.registry_round_trip,
             "all_equivalent": self.all_equivalent,
             "budget_violations": self.budget_violations,
-            "points": [
-                {
-                    "num_streams": point.num_streams,
-                    "num_tenants": point.num_tenants,
-                    "segments_total": point.segments_total,
-                    "p50_latency_ms": point.p50_latency_ms,
-                    "p99_latency_ms": point.p99_latency_ms,
-                    "mean_latency_ms": point.mean_latency_ms,
-                    "max_latency_ms": point.max_latency_ms,
-                    "throughput_audio_s_per_s": point.throughput_audio_s_per_s,
-                    "rtf": point.rtf,
-                    "mean_batch_size": point.mean_batch_size,
-                    "budget_violations": point.budget_violations,
-                    "equivalent": point.equivalent,
-                }
-                for point in self.points
-            ],
+            "points": [asdict(point) for point in self.points],
         }
 
 
-def run_serving_analysis(
-    config: Optional[NECConfig] = None,
-    stream_counts: tuple = (1, 8, 64),
-    segments_per_stream: int = 2,
-    num_tenants: int = 4,
-    latency_budget_ms: float = STREAMING_LATENCY_BUDGET_MS,
-    seed: int = 0,
-    num_workers: Optional[int] = None,
-    registry_root: Optional[str] = None,
-) -> ServingResult:
-    """Measure the protection service end to end at several concurrency levels.
+def run_serving_analysis(registry_root: Optional[str] = None) -> ServingResult:
+    """Measure the protection service end to end at 1, 8 and 64 streams.
 
-    Setup (once): a system is built and ``num_tenants`` speakers are enrolled
-    into a *persistent* registry (``registry_root`` or a temporary directory);
-    the Selector and encoder are checkpointed; then a **fresh** registry and
+    Setup (once): a system is built and four tenants are enrolled into a
+    *persistent* registry (``registry_root`` or a temporary directory); the
+    Selector and encoder are checkpointed; then a **fresh** registry and
     service are constructed purely from disk.  All measurements therefore run
     on round-tripped weights and d-vectors — the reference pass below proves
     they did not drift by a bit.
 
-    Per ``stream_counts`` level N: N sessions (tenants round-robin) each feed
-    ``segments_per_stream`` one-segment chunks through the live service —
-    tick thread running, sessions collecting as results complete.  Each
-    segment's **shadow latency** is the wall-clock from the feed that
-    completed it to its result being collected; the point reports
-    p50/p99/mean/max over all N × ``segments_per_stream`` segments plus the
-    aggregate throughput.  A second, service-free pass feeds the same chunks
-    to one immediate-mode :class:`StreamingProtector` per stream built on the
-    original pre-save system; ``equivalent`` asserts bit-identical shadows.
+    At each level N, N sessions (tenants round-robin) each feed two
+    one-segment chunks through the live service (:func:`serve_streams`) —
+    tick thread running, sessions collecting as results complete, every feed
+    held to :data:`STREAMING_LATENCY_BUDGET_MS`.  Each segment's **shadow
+    latency** is the wall-clock from the feed that completed it to its result
+    being collected; the point reports p50/p99/mean/max over all segments
+    plus the aggregate throughput.  A service-free pass
+    (:func:`direct_stream_waves`) feeds the same chunks to one immediate-mode
+    ``StreamingProtector`` per stream built on the original pre-save system;
+    ``equivalent`` asserts bit-identical shadows.
     """
-    config = (config or NECConfig.default()).validate()
-    rng = np.random.default_rng(seed)
+    config = NECConfig.default().validate()
+    rng = np.random.default_rng(0)
     segment = config.segment_samples
-    workers = num_workers if num_workers is not None else min(os.cpu_count() or 1, 4)
+    segments_per_stream = 2
+    stream_counts = (1, 8, 64)
+    workers = default_num_workers()
 
-    system = NECSystem(config, seed=seed)
-    tenant_ids = [f"tenant{index:02d}" for index in range(max(num_tenants, 1))]
+    system = NECSystem(config, seed=0)
+    tenant_ids = [f"tenant{index:02d}" for index in range(4)]
     references = {
-        tenant_id: [
-            AudioSignal(
-                rng.normal(scale=0.1, size=segment), config.sample_rate
-            )
-        ]
+        tenant_id: [AudioSignal(rng.normal(scale=0.1, size=segment), config.sample_rate)]
         for tenant_id in tenant_ids
     }
 
@@ -214,67 +188,27 @@ def run_serving_analysis(
 
         points: List[ServingPoint] = []
         for count in stream_counts:
-            # -- direct reference: one immediate protector per stream, on the
-            # pre-save system with the registry's (round-tripped) d-vector.
-            reference_waves: List[List[np.ndarray]] = []
-            for index in range(count):
-                direct_system = NECSystem(
-                    config, encoder=system.encoder, selector=system.selector
-                )
-                direct_system.set_embedding(
-                    bootstrap.embedding(stream_tenants[index])
-                )
-                protector = StreamingProtector(direct_system)
-                waves: List[np.ndarray] = []
-                for round_index in range(segments_per_stream):
-                    start = round_index * segment
-                    for result in protector.feed(
-                        stream_audio[index][start : start + segment]
-                    ):
-                        waves.append(result.shadow_wave.data)
-                reference_waves.append(waves)
+            tenants, audio = stream_tenants[:count], stream_audio[:count]
+            # -- direct reference: the pre-save system with the registry's
+            # (round-tripped) d-vector of each stream's tenant.
+            direct_systems = []
+            for tenant_id in tenants:
+                direct = NECSystem(config, encoder=system.encoder, selector=system.selector)
+                direct.set_embedding(bootstrap.embedding(tenant_id))
+                direct_systems.append(direct)
+            reference_waves = direct_stream_waves(direct_systems, audio, segment)
 
             # -- the service pass: live tick thread, per-segment latency.
-            latencies_ms: List[float] = []
-            service_waves: List[List[np.ndarray]] = [[] for _ in range(count)]
-            budget_violations = 0
             with ProtectionService(
                 registry,
-                max_batch_segments=max(1, -(-count // workers)) if workers > 1 else 16,
+                max_batch_segments=tick_chunk(count, workers, 16),
                 num_workers=workers,
-                latency_budget_ms=latency_budget_ms,
+                latency_budget_ms=STREAMING_LATENCY_BUDGET_MS,
             ) as service:
-                sessions = [
-                    service.open_session(stream_tenants[index])
-                    for index in range(count)
-                ]
-                started = time.perf_counter()
-                for round_index in range(segments_per_stream):
-                    start = round_index * segment
-                    fed_at: List[float] = []
-                    for index, session in enumerate(sessions):
-                        fed_at.append(time.perf_counter())
-                        session.feed(stream_audio[index][start : start + segment])
-                    for index, session in enumerate(sessions):
-                        while len(service_waves[index]) < round_index + 1:
-                            for result in session.collect(wait=True):
-                                service_waves[index].append(result.shadow_wave.data)
-                                latencies_ms.append(
-                                    1000.0 * (time.perf_counter() - fed_at[index])
-                                )
-                elapsed = time.perf_counter() - started
-                for session in sessions:
-                    budget_violations += session.latency.budget_violations
-                    session.close()
-
-            equivalent = all(
-                len(service_waves[index]) == len(reference_waves[index])
-                and all(
-                    np.array_equal(a, b)
-                    for a, b in zip(service_waves[index], reference_waves[index])
+                service_waves, latencies_ms, elapsed, violations = serve_streams(
+                    service, tenants, audio, segment
                 )
-                for index in range(count)
-            )
+
             total_segments = count * segments_per_stream
             audio_seconds = total_segments * segment / config.sample_rate
             latencies = np.asarray(latencies_ms)
@@ -290,15 +224,15 @@ def run_serving_analysis(
                     throughput_audio_s_per_s=audio_seconds / elapsed if elapsed > 0 else float("inf"),
                     rtf=elapsed / audio_seconds if audio_seconds > 0 else float("inf"),
                     mean_batch_size=service.stats.mean_batch_size,
-                    budget_violations=budget_violations,
-                    equivalent=equivalent,
+                    budget_violations=violations,
+                    equivalent=bit_identical(reference_waves, service_waves)[0],
                 )
             )
 
     return ServingResult(
         sample_rate=config.sample_rate,
         segment_samples=segment,
-        latency_budget_ms=latency_budget_ms,
+        latency_budget_ms=STREAMING_LATENCY_BUDGET_MS,
         num_workers=workers,
         registry_round_trip=bool(round_trip),
         points=points,

@@ -143,7 +143,24 @@ class EnrollmentRegistry:
     def _read_embedding(self, tenant_id: str) -> np.ndarray:
         path = self._tenant_path(tenant_id)
         with np.load(path) as archive:
-            return np.array(archive["embedding"], copy=True)
+            return self._checked_embedding(tenant_id, archive["embedding"])
+
+    def _checked_embedding(self, tenant_id: str, embedding: np.ndarray) -> np.ndarray:
+        """``embedding`` as a fresh finite float64 vector of ``embedding_dim``.
+
+        Raises ``ValueError`` otherwise: registered and reloaded d-vectors
+        pass the same check.
+        """
+        vector = require_finite(
+            np.array(embedding, dtype=np.float64, copy=True).reshape(-1),
+            f"d-vector of tenant '{tenant_id}'",
+        )
+        if vector.size != self.config.embedding_dim:
+            raise ValueError(
+                f"expected a {self.config.embedding_dim}-dim d-vector for "
+                f"tenant '{tenant_id}', got {vector.size}"
+            )
+        return vector
 
     # -- tenants -----------------------------------------------------------
     def tenants(self) -> List[str]:
@@ -167,15 +184,7 @@ class EnrollmentRegistry:
             raise ValueError(
                 f"invalid tenant id {tenant_id!r}: use 1-64 chars of [A-Za-z0-9._-]"
             )
-        vector = require_finite(
-            np.asarray(embedding, dtype=np.float64).reshape(-1),
-            f"d-vector of tenant '{tenant_id}'",
-        )
-        if vector.size != self.config.embedding_dim:
-            raise ValueError(
-                f"expected a {self.config.embedding_dim}-dim d-vector for "
-                f"tenant '{tenant_id}', got {vector.size}"
-            )
+        vector = self._checked_embedding(tenant_id, embedding)
         with self._lock:
             self._embeddings[tenant_id] = np.array(vector, copy=True)
             path = self._tenant_path(tenant_id)

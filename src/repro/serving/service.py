@@ -23,7 +23,7 @@ drains every submitted segment, the worker pool is closed
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -42,19 +42,16 @@ class ServiceStats:
     """Aggregate serving counters (scheduling efficiency, not per-stream latency)."""
 
     ticks: int = 0
+    busy_ticks: int = 0                 # ticks that inferred at least one segment
     segments_coalesced: int = 0
-    batch_sizes: List[int] = field(default_factory=list)
+    max_batch_size: int = 0
     sessions_opened: int = 0
     sessions_closed: int = 0
 
     @property
     def mean_batch_size(self) -> float:
-        nonempty = [size for size in self.batch_sizes if size > 0]
-        return float(np.mean(nonempty)) if nonempty else 0.0
-
-    @property
-    def max_batch_size(self) -> int:
-        return max(self.batch_sizes, default=0)
+        """Segments coalesced per non-empty tick."""
+        return self.segments_coalesced / self.busy_ticks if self.busy_ticks else 0.0
 
 
 class ProtectionService:
@@ -211,8 +208,9 @@ class ProtectionService:
 
     def _harvest_stats(self) -> None:
         self.stats.ticks = self.batch.ticks
+        self.stats.busy_ticks = self.batch.busy_ticks
         self.stats.segments_coalesced = self.batch.segments_coalesced
-        self.stats.batch_sizes = list(self.batch.batch_sizes)
+        self.stats.max_batch_size = self.batch.max_tick_segments
 
     def __enter__(self) -> "ProtectionService":
         return self

@@ -104,3 +104,20 @@ def test_registry_register_rejects_non_finite_vector(config, system, bad):
     with pytest.raises(ValueError, match="NaN or Inf"):
         registry.register("alice", vector)
     assert "alice" not in registry
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda vector: np.where(np.arange(vector.size) == 0, np.nan, vector),
+        lambda vector: np.where(np.arange(vector.size) == 0, np.inf, vector),
+        lambda vector: vector[:-1],
+    ],
+    ids=["nan", "inf", "wrong_dim"],
+)
+def test_registry_reload_rejects_bad_tenant_file(config, system, tmp_path, corrupt):
+    """A tenant ``.npz`` on disk passes the same check as ``register``."""
+    EnrollmentRegistry(tmp_path, config=config).register("alice", system.embedding)
+    np.savez(tmp_path / "tenants" / "alice.npz", embedding=corrupt(system.embedding))
+    with pytest.raises(ValueError, match="tenant 'alice'"):
+        EnrollmentRegistry(tmp_path)

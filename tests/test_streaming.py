@@ -208,7 +208,7 @@ class TestLatencyAccounting:
         protector.feed(clip[:segment])
         protector.feed(clip[segment:])
         # Shadows come out inside the very feed that completes each segment.
-        assert protector.latency.emit_latency_samples == [0, 0]
+        assert protector.latency.emits == 2
         assert protector.latency.worst_emit_latency_samples == 0
         assert protector.lookahead_samples == tiny_config.segment_samples
 
@@ -222,7 +222,8 @@ class TestLatencyAccounting:
         batch.tick()
         results = protector.collect()
         assert len(results) == 1
-        assert protector.latency.emit_latency_samples == [extra]
+        assert protector.latency.emits == 1
+        assert protector.latency.worst_emit_latency_samples == extra
 
     def test_budget_violations_counted(self, system, tiny_config):
         protector = StreamingProtector(system, latency_budget_ms=0.0)
@@ -329,7 +330,8 @@ class TestStreamBatch:
         batch = StreamBatch(system.selector)
         assert batch.tick() == 0
         assert batch.ticks == 1
-        assert batch.batch_sizes == [0]
+        assert batch.busy_ticks == 0
+        assert batch.max_tick_segments == 0
 
     def test_tick_with_only_zero_segment_submissions(self, system, tiny_config):
         """Regression: all-empty pending requests used to crash the tick.
@@ -349,7 +351,7 @@ class TestStreamBatch:
         for request in requests:
             assert request.done
             assert request.shadow_spectrograms.shape == (0, frequency_bins, frames)
-        assert batch.batch_sizes[-1] == 0
+        assert (batch.ticks, batch.busy_ticks, batch.segments_coalesced) == (1, 0, 0)
 
     def test_tick_mixing_empty_and_real_submissions(self, system, tiny_config):
         segment = tiny_config.segment_samples

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.audio.signal import AudioSignal
-from repro.core import NECConfig, NECSystem, StreamBatch
+from repro.core import NECConfig, NECSystem, StreamBatch, StreamLatencyStats
 from repro.nn import clear_im2col_buffer_cache
 
 #: Chunk size of the batched engine and the coalescing tick (their default).
@@ -90,3 +90,20 @@ def test_protect_batch_of_22_segments(system):
     assert sum(-(-clip.num_samples // config.segment_samples) for clip in clips) == 22
     peak = _peak_bytes(lambda: system.protect_batch(clips, max_batch_segments=CHUNK))
     assert peak < _budget_bytes(system), (peak, _budget_bytes(system))
+
+
+def test_stream_stats_stay_flat_over_many_ticks(system):
+    """Tick and emit stats are running counters: 10^5 ticks keep no history."""
+    stats = StreamLatencyStats()
+    with StreamBatch(system.selector, num_workers=1) as batch:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(100_000):
+                batch.tick()
+                stats.record_emit(0)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert grown < 64 * 1024, grown
+    assert batch.ticks == 100_000 and stats.emits == 100_000
