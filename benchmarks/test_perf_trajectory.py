@@ -1,7 +1,7 @@
 """Persistent perf trajectory: every BENCH kernel re-timed into one artifact.
 
 Each run appends one labelled entry to ``BENCH_trajectory.json`` (override the
-path with ``BENCH_TRAJECTORY_JSON``) holding the full kernel table — the four
+path with ``BENCH_TRAJECTORY_JSON``) holding the full kernel table — the three
 evaluation fast-path kernels plus the precision (``float32_inference``) and
 parallelism (``sharded_eval``) kernels — so the repo accumulates a per-PR
 record of where the wall-clock went.  CI uploads the file and fails the build

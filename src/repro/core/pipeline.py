@@ -446,6 +446,11 @@ class _PendingSegment:
     request: Optional[StreamRequest] = None  # deferred mode only
 
 
+#: Segments per Selector pass when an immediate-mode feed completes several at
+#: once (the same bound as :meth:`NECSystem.protect_segment_matrix`'s default).
+_STREAM_CHUNK_SEGMENTS = 16
+
+
 class StreamingProtector:
     """Real-time incremental protection on a fixed-lookahead ring pipeline.
 
@@ -485,12 +490,10 @@ class StreamingProtector:
     def __init__(
         self,
         system: NECSystem,
-        max_batch_segments: int = 16,
         stream_batch: Optional[StreamBatch] = None,
         latency_budget_ms: Optional[float] = None,
     ) -> None:
         self.system = system
-        self.max_batch_segments = max_batch_segments
         self.stream_batch = stream_batch
         config = system.config
         self._segment = config.segment_samples
@@ -632,9 +635,8 @@ class StreamingProtector:
             self._ready = []
             return []
         results: List[ProtectionResult] = []
-        batch = max(self.max_batch_segments, 1)
-        for start in range(0, len(self._ready), batch):
-            group = self._ready[start : start + batch]
+        for start in range(0, len(self._ready), _STREAM_CHUNK_SEGMENTS):
+            group = self._ready[start : start + _STREAM_CHUNK_SEGMENTS]
             stfts = np.stack([segment.stft for segment in group])
             mixed_specs = magnitude(stfts)
             shadow_specs = self.system.selector.shadow_spectrogram_batch(

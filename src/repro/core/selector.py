@@ -25,9 +25,7 @@ compares both.
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -325,11 +323,6 @@ class Selector(Module):
         return -self.shadow_spectrogram(mixed_spectrogram, d_vector)
 
 
-def default_num_workers() -> int:
-    """Worker threads of a :class:`StreamBatch` tick when none are asked for."""
-    return min(os.cpu_count() or 1, 4)
-
-
 @dataclass
 class StreamRequest:
     """One stream's pending segment-inference request inside a :class:`StreamBatch`.
@@ -366,23 +359,14 @@ class StreamBatch:
     :meth:`submit` and the pending-queue handoff in :meth:`tick` are
     thread-safe, so producer threads (streaming sessions) may submit while a
     dedicated ticker thread drives inference — the shape of the serving event
-    loop (:mod:`repro.serving`).  The inference itself still runs one tick at
-    a time.  A long-lived process must :meth:`close` the batch (or use it as
-    a context manager) to reclaim the worker threads of the tick fan-out.
+    loop (:mod:`repro.serving`).  The inference itself runs one tick at a
+    time, on the calling thread: the batch starts no threads of its own, and
+    BLAS owns whatever parallelism the pass has.
     """
 
-    def __init__(
-        self,
-        selector: Selector,
-        max_batch_segments: int = 16,
-        num_workers: Optional[int] = None,
-    ) -> None:
+    def __init__(self, selector: Selector, max_batch_segments: int = 16) -> None:
         self.selector = selector
         self.max_batch_segments = max(int(max_batch_segments), 1)
-        if num_workers is None:
-            num_workers = default_num_workers()
-        self.num_workers = max(int(num_workers), 1)
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._pending: List[StreamRequest] = []
         self._lock = threading.Lock()
         self._closed = False
@@ -423,18 +407,12 @@ class StreamBatch:
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
-        """Shut down the tick worker pool and refuse further submits.
+        """Refuse further submits.
 
-        A ``StreamBatch`` owns up to ``num_workers`` threads once a threaded
-        tick has run; in a long-lived serving process those threads must be
-        reclaimed when the batch is retired (one leaked pool per batch object
-        adds up fast).  Idempotent; ticking an already-drained closed batch is
-        a no-op, but submitting to one raises.
+        Idempotent; ticking an already-drained closed batch is a no-op, but
+        submitting to one raises.
         """
         self._closed = True
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     def __enter__(self) -> "StreamBatch":
         return self
@@ -482,32 +460,13 @@ class StreamBatch:
             ],
             axis=0,
         )
-        starts = list(range(0, specs.shape[0], self.max_batch_segments))
-        if self.num_workers > 1 and len(starts) > 1 and not self._closed:
-            # Chunks are independent rows, so fanning them out over worker
-            # threads changes nothing but the wall clock: each chunk runs
-            # exactly the pass it would have run serially (numpy releases the
-            # GIL inside the heavy kernels, and the im2col scratch is
-            # thread-local).
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(max_workers=self.num_workers)
-            futures = [
-                self._pool.submit(
-                    self.selector.shadow_spectrogram_batch,
-                    specs[start : start + self.max_batch_segments],
-                    vectors[start : start + self.max_batch_segments],
-                )
-                for start in starts
-            ]
-            shadows = [future.result() for future in futures]
-        else:
-            shadows = [
-                self.selector.shadow_spectrogram_batch(
-                    specs[start : start + self.max_batch_segments],
-                    vectors[start : start + self.max_batch_segments],
-                )
-                for start in starts
-            ]
+        shadows = [
+            self.selector.shadow_spectrogram_batch(
+                specs[start : start + self.max_batch_segments],
+                vectors[start : start + self.max_batch_segments],
+            )
+            for start in range(0, specs.shape[0], self.max_batch_segments)
+        ]
         stacked = np.concatenate(shadows, axis=0)
         offset = 0
         for request, count in zip(pending, counts):

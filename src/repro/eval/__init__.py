@@ -9,7 +9,6 @@ mapping between experiments and paper artefacts is listed in ``DESIGN.md``
 
 from repro.eval.common import (
     ExperimentContext,
-    batched_protections,
     prepare_context,
     probe_broadcasts,
 )
@@ -60,12 +59,10 @@ from repro.eval.scenarios import (
     ScenarioGrid,
     ScenarioGridResult,
     run_scenario_grid,
-    run_scenario_grid_looped,
 )
 
 __all__ = [
     "ExperimentContext",
-    "batched_protections",
     "prepare_context",
     "probe_broadcasts",
     "format_table",
@@ -118,5 +115,4 @@ __all__ = [
     "ScenarioGrid",
     "ScenarioGridResult",
     "run_scenario_grid",
-    "run_scenario_grid_looped",
 ]

@@ -26,7 +26,7 @@ from repro.audio.corpus import SyntheticCorpus
 from repro.audio.signal import AudioSignal
 from repro.core.config import NECConfig, TrainingConfig
 from repro.core.encoder import SpeakerEncoder, SpectralEncoder
-from repro.core.pipeline import NECSystem, ProtectionResult
+from repro.core.pipeline import NECSystem
 from repro.core.seeding import derive_seed  # re-export: studies/tests import it here
 from repro.core.selector import Selector
 from repro.core.training import SelectorTrainer, TrainingHistory, build_training_examples
@@ -60,44 +60,6 @@ class ExperimentContext:
         return self._systems[target_speaker]
 
 
-def batched_protections(
-    context: "ExperimentContext",
-    jobs: Sequence[Tuple[str, AudioSignal]],
-    max_batch_segments: int = 4,
-) -> List[ProtectionResult]:
-    """The shared batched driver of the evaluation harness.
-
-    ``jobs`` is a sequence of ``(target_speaker, mixed_audio)`` pairs — e.g.
-    every instance of a benchmark dataset.  Jobs are grouped per target
-    speaker and each group goes through **one**
-    :meth:`NECSystem.protect_batch` call, so all segments of all of a
-    speaker's instances share stacked STFTs and Selector forward passes
-    instead of paying one full ``protect`` per instance.  Results come back
-    in job order and are bit-identical to
-    ``[context.system_for(s).protect(a) for s, a in jobs]`` (the batched
-    engine's per-row equivalence is pinned by ``tests/test_pipeline_batch.py``
-    and the driver's by ``tests/test_fastpath.py``).
-
-    The ``max_batch_segments=4`` default is a measured cache sweet spot: the
-    Selector's im2col working set for a 4-segment chunk stays resident where
-    16-segment chunks spill, and chunking never changes the numbers (each
-    row's result is independent of its batch neighbours).
-    """
-    grouped: Dict[str, List[int]] = {}
-    for index, (speaker, _audio) in enumerate(jobs):
-        grouped.setdefault(speaker, []).append(index)
-    results: List[Optional[ProtectionResult]] = [None] * len(jobs)
-    for speaker, indices in grouped.items():
-        system = context.system_for(speaker)
-        batch = system.protect_batch(
-            [jobs[index][1] for index in indices],
-            max_batch_segments=max_batch_segments,
-        )
-        for index, result in zip(indices, batch):
-            results[index] = result
-    return results  # type: ignore[return-value]
-
-
 # ---------------------------------------------------------------------------
 # The shared worker-pool runner of the evaluation studies.
 # ---------------------------------------------------------------------------
@@ -115,6 +77,9 @@ def _invoke_shard(index: int) -> Tuple[int, Any]:
     return index, work(index, items[index])
 
 
+def default_num_workers() -> int:
+    """Forked workers of a sharded benchmark kernel when none are asked for."""
+    return min(os.cpu_count() or 1, 4)
 
 
 def resolve_num_workers(num_workers: Optional[int] = None) -> int:

@@ -12,7 +12,6 @@ from repro.channel.propagation import propagate, spl_at_distance
 from repro.channel.recorder import Recorder, SceneSource
 from repro.eval.common import (
     ExperimentContext,
-    batched_protections,
     prepare_context,
     run_sharded,
 )
@@ -169,9 +168,9 @@ def run_sonr_study(
     alice = corpus.utterance(other, seed=seed + 3, duration=duration).audio
     system = context.system_for(target)
     # The shadow depends only on the mixed audio, not the recording distance:
-    # compute it once through the shared batched driver and re-record it at
-    # every distance instead of re-running protect per sweep point.
-    protection = batched_protections(context, [(target, bob + alice)])[0]
+    # compute it once and re-record it at every distance instead of
+    # re-running protect per sweep point.
+    protection = system.protect(bob + alice)
 
     def measure(_index: int, distance: float) -> SonrPoint:
         recorder_off = Recorder(device, seed=seed)

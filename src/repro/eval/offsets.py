@@ -11,7 +11,6 @@ from repro.audio.mixing import joint_conversation
 from repro.core.overshadow import OffsetPoint, mixed_reference_point, offset_study
 from repro.eval.common import (
     ExperimentContext,
-    batched_protections,
     prepare_context,
     run_sharded,
 )
@@ -80,8 +79,7 @@ def run_offset_study(
         )
         shadow_wave = shadow_waveform(mixed, background_spec - mixed_spec, config)
     else:
-        # Route through the shared batched driver (one protect_batch call).
-        shadow_wave = batched_protections(context, [(target, mixed)])[0].shadow_wave
+        shadow_wave = context.system_for(target).protect(mixed).shadow_wave
 
     # The grid in the same (power outer, offset inner) order as offset_study's
     # own double loop, so the sharded result list matches the serial sweep.

@@ -10,9 +10,7 @@ import numpy as np
 from repro.asr.recognizer import TemplateRecognizer
 from repro.eval.common import (
     ExperimentContext,
-    batched_protections,
     prepare_context,
-    resolve_num_workers,
     run_sharded,
 )
 from repro.eval.datasets import BenchmarkDataset, compile_benchmark_dataset
@@ -102,12 +100,9 @@ def run_overall_benchmark(
     so SDR-only runs are the default for quick checks).
 
     ``num_workers`` shards the instances over forked workers via
-    :func:`repro.eval.common.run_sharded`.  The serial path protects every
-    instance through the shared batched driver (one ``protect_batch`` per
-    target speaker); a sharded worker protects its own instances directly —
-    the two are bit-identical (the batched driver's per-instance equivalence
-    is pinned by ``tests/test_fastpath.py``), so the benchmark result does
-    not depend on the worker count.
+    :func:`repro.eval.common.run_sharded`; every instance is protected by its
+    own ``protect`` call wherever it runs, so the benchmark result does not
+    depend on the worker count.
     """
     context = context if context is not None else prepare_context(seed=seed)
     config = context.config
@@ -124,20 +119,9 @@ def run_overall_benchmark(
     if compute_wer and recognizer is None:
         recognizer = TemplateRecognizer(sample_rate=config.sample_rate, seed=seed)
 
-    # Serial runs batch all protections up front (one protect_batch per
-    # speaker); sharded workers each protect their own instances.
-    protections = None
-    if resolve_num_workers(num_workers) <= 1:
-        protections = batched_protections(
-            context,
-            [(instance.target_speaker, instance.mixed) for instance in dataset.instances],
-        )
-
-    def measure(index: int, instance) -> InstanceMeasurement:
+    def measure(_index: int, instance) -> InstanceMeasurement:
         system = context.system_for(instance.target_speaker)
-        protection = (
-            protections[index] if protections is not None else system.protect(instance.mixed)
-        )
+        protection = system.protect(instance.mixed)
         recorded = system.superpose(instance.mixed, protection)
         measurement = InstanceMeasurement(
             scenario=instance.scenario,

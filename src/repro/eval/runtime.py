@@ -23,7 +23,7 @@ from repro.baselines.voicefilter import VoiceFilterModel
 from repro.channel.ultrasound import am_modulate
 from repro.core.config import NECConfig
 from repro.core.encoder import SpectralEncoder
-from repro.core.selector import Selector, default_num_workers
+from repro.core.selector import Selector
 from repro.dsp.stft import magnitude_spectrogram
 from repro.eval.reporting import format_table
 
@@ -127,11 +127,6 @@ def _within(tolerance: float) -> Compare:
 
 def _protection_arrays(results) -> List[Tuple[np.ndarray, ...]]:
     return [(r.shadow_wave.data, r.shadow_spectrogram, r.record_spectrogram) for r in results]
-
-
-def tick_chunk(num_streams: int, workers: int, serial_chunk: int) -> int:
-    """``max_batch_segments`` giving each tick worker one chunk of the streams."""
-    return -(-num_streams // workers) if workers > 1 else serial_chunk
 
 
 def direct_stream_waves(
@@ -354,7 +349,7 @@ def run_batched_runtime_analysis(
 
 
 # ---------------------------------------------------------------------------
-# Evaluation fast path: old vs new DTW / iSTFT / filter-plan / driver kernels
+# Evaluation fast path: old vs new DTW / iSTFT / filter-plan kernels
 # ---------------------------------------------------------------------------
 @dataclass
 class EvalFastpathResult:
@@ -469,44 +464,10 @@ def _filter_plan_timing(repetitions: int) -> KernelTiming:
     )
 
 
-def _driver_timing(repetitions: int) -> KernelTiming:
-    """The batched eval driver vs the seed's per-instance protect loop.
-
-    Runs at the benchmark harness's geometry (``NECConfig.tiny``): that is
-    where per-call dispatch overhead is visible next to the Selector forward.
-    At larger geometries the forward pass dominates and the two paths tie —
-    the driver's value there is the single ``protect_batch`` entry point (and
-    exact equivalence), not latency.
-    """
-    from repro.eval.common import batched_protections, prepare_context
-    from repro.eval.datasets import compile_benchmark_dataset
-
-    context = prepare_context(num_speakers=4, num_targets=2, train=False, seed=0)
-    dataset = compile_benchmark_dataset(
-        context.corpus,
-        context.target_speakers,
-        context.other_speakers,
-        instances_per_scenario=3,
-        scenarios=("joint", "babble"),
-        duration=2.0 * context.config.segment_seconds,
-        seed=0,
-    )
-    jobs = [(instance.target_speaker, instance.mixed) for instance in dataset.instances]
-    return _kernel(
-        "batched_driver",
-        lambda: [context.system_for(speaker).protect(audio) for speaker, audio in jobs],
-        lambda: batched_protections(context, jobs),
-        lambda reference, fast: bit_identical(
-            _protection_arrays(reference), _protection_arrays(fast)
-        ),
-        repetitions,
-    )
-
-
 def run_eval_fastpath_analysis(repetitions: int = 3) -> EvalFastpathResult:
     """Time the evaluation fast path against the seed implementations.
 
-    Four kernels at the benchmark harness's geometry (:meth:`NECConfig.tiny`),
+    Three kernels at the benchmark harness's geometry (:meth:`NECConfig.tiny`),
     each reported with a best-of-N latency pair, the speedup and an
     old-vs-new equivalence flag:
 
@@ -518,8 +479,6 @@ def run_eval_fastpath_analysis(repetitions: int = 3) -> EvalFastpathResult:
       a cached window-norm plan).
     - ``butter_plan`` — the 192 kHz channel filter with and without the
       memoised Butterworth SOS design.
-    - ``batched_driver`` — per-instance ``protect`` vs the shared
-      speaker-grouped :func:`repro.eval.common.batched_protections` driver.
     """
     config = NECConfig.tiny().validate()
     return EvalFastpathResult(
@@ -527,7 +486,6 @@ def run_eval_fastpath_analysis(repetitions: int = 3) -> EvalFastpathResult:
             _dtw_kernel_timing(repetitions),
             _istft_kernel_timing(config, repetitions),
             _filter_plan_timing(repetitions),
-            _driver_timing(repetitions),
         ]
     )
 
@@ -581,12 +539,13 @@ def _sharding_timing(config: NECConfig, repetitions: int) -> KernelTiming:
 
     ``reference`` maps one ``protect_segment_matrix`` call per item inline;
     ``fast`` shards the same items over forked workers
-    (``REPRO_EVAL_WORKERS`` when set above 1, else the stream-worker
-    default).  The equivalence flag asserts **bit-identical** shard results
-    — the contract of :func:`repro.eval.common.run_sharded` — for any worker
-    count; the speedup is only meaningful on multi-core machines.
+    (``REPRO_EVAL_WORKERS`` when set above 1, else
+    :func:`repro.eval.common.default_num_workers`).  The equivalence flag
+    asserts **bit-identical** shard results — the contract of
+    :func:`repro.eval.common.run_sharded` — for any worker count; the
+    speedup is only meaningful on multi-core machines.
     """
-    from repro.eval.common import resolve_num_workers, run_sharded
+    from repro.eval.common import default_num_workers, resolve_num_workers, run_sharded
 
     workers = resolve_num_workers()
     if workers <= 1:
@@ -609,20 +568,16 @@ def _sharding_timing(config: NECConfig, repetitions: int) -> KernelTiming:
 
 
 def _scenario_grid_timing(config: NECConfig, repetitions: int) -> KernelTiming:
-    """The batched+sharded scenario-grid runner vs the looped per-cell reference.
+    """The sharded scenario-grid runner vs the same grid run inline.
 
-    ``reference`` protects every scene with its own ``protect`` call;
-    ``fast`` batches the protections and shards the cells over
+    ``reference`` evaluates every cell in this process
+    (``num_workers=1``); ``fast`` shards the cells over
     :func:`repro.eval.common.run_sharded`.  The equivalence flag asserts
-    bit-identical cell reports.  Below 4 cores the fast path runs inline
-    (unless ``REPRO_EVAL_WORKERS`` asks for more): batching alone.
+    bit-identical cell reports.  Below 4 cores the fast path runs inline too
+    (unless ``REPRO_EVAL_WORKERS`` asks for more), so the ratio reads ~1.
     """
-    from repro.eval.common import prepare_context, resolve_num_workers
-    from repro.eval.scenarios import (
-        ScenarioGrid,
-        run_scenario_grid,
-        run_scenario_grid_looped,
-    )
+    from repro.eval.common import default_num_workers, prepare_context, resolve_num_workers
+    from repro.eval.scenarios import ScenarioGrid, run_scenario_grid
 
     workers = resolve_num_workers()
     if workers <= 1 and default_num_workers() >= 4:
@@ -638,7 +593,7 @@ def _scenario_grid_timing(config: NECConfig, repetitions: int) -> KernelTiming:
 
     return _kernel(
         "scenario_grid",
-        lambda: run_scenario_grid_looped(context, grid, seed=0),
+        lambda: run_scenario_grid(context, grid, seed=0, num_workers=1),
         lambda: run_scenario_grid(context, grid, seed=0, num_workers=workers),
         lambda reference, fast: _verdict(
             [cell.to_dict() for cell in reference.cells]
@@ -652,9 +607,8 @@ def _streaming_timing(config: NECConfig, repetitions: int) -> KernelTiming:
     """Cross-stream coalesced inference vs per-stream sequential passes.
 
     ``reference`` runs one Selector pass per stream; ``fast`` coalesces all
-    eight streams' segments into one :meth:`StreamBatch.tick`, which fans
-    chunks out to worker threads on multi-core hosts.  The equivalence flag
-    asserts bit-identical shadows.
+    eight streams' segments into one :meth:`StreamBatch.tick`.  The
+    equivalence flag asserts bit-identical shadows.
     """
     from repro.core.selector import StreamBatch
 
@@ -671,12 +625,7 @@ def _streaming_timing(config: NECConfig, repetitions: int) -> KernelTiming:
         )[None, :, :]
         for _ in range(num_streams)
     ]
-    workers = default_num_workers()
-    batch = StreamBatch(
-        system.selector,
-        max_batch_segments=tick_chunk(num_streams, workers, 4),
-        num_workers=workers,
-    )
+    batch = StreamBatch(system.selector)
 
     def coalesced():
         requests = [batch.submit(spec, embedding) for spec in spectrograms]
@@ -717,9 +666,7 @@ def _serving_timing(config: NECConfig, repetitions: int) -> KernelTiming:
     stream_audio = [rng.normal(scale=0.1, size=2 * segment) for _ in range(4)]
 
     def served():
-        with ProtectionService(
-            registry, system=system, num_workers=1, poll_interval_s=0.005
-        ) as service:
+        with ProtectionService(registry, system=system, poll_interval_s=0.005) as service:
             waves, _, _, _ = serve_streams(
                 service, ["tenant"] * len(stream_audio), stream_audio, segment
             )
@@ -1002,7 +949,7 @@ def run_perf_trajectory(
     ``path`` or the ``BENCH_TRAJECTORY_JSON`` environment variable) is the
     repo's persistent perf record: one entry per run, holding the host
     (:func:`host_fingerprint`) and every kernel at :meth:`NECConfig.tiny` —
-    the four evaluation fast-path kernels plus ``float32_inference``,
+    the three evaluation fast-path kernels plus ``float32_inference``,
     ``train_minibatch``, ``streaming_coalesce``, ``serving_e2e``,
     ``scenario_grid`` and, on >= 4 cores only (below that fork overhead
     makes the sample meaningless), ``sharded_eval``.
@@ -1010,6 +957,8 @@ def run_perf_trajectory(
     Entries are keyed by ``(label, config)``: a rerun at the same git sha and
     geometry *replaces* the earlier entry.  Returns the recorded entry.
     """
+    from repro.eval.common import default_num_workers
+
     config = NECConfig.tiny().validate()
     result = run_eval_fastpath_analysis(repetitions=repetitions)
     # train_minibatch runs *before* the serving/scenario kernels: spinning up
@@ -1122,7 +1071,6 @@ class StreamingRuntimeResult:
     segment_samples: int
     hop_length: int
     latency_budget_ms: float
-    num_workers: int
     chunk_timings: List[StreamChunkTiming] = field(default_factory=list)
     scaling_timings: List[StreamScalingTiming] = field(default_factory=list)
 
@@ -1200,7 +1148,6 @@ class StreamingRuntimeResult:
             "segment_samples": self.segment_samples,
             "hop_length": self.hop_length,
             "latency_budget_ms": self.latency_budget_ms,
-            "num_workers": self.num_workers,
             "all_equivalent": self.all_equivalent,
             "budget_violations": self.budget_violations,
             "max_streams_rtf_below_1": self.max_streams_rtf_below_1,
@@ -1243,7 +1190,6 @@ def run_streaming_rtf_analysis(repetitions: int = 2) -> StreamingRuntimeResult:
     rng = np.random.default_rng(0)
     system = _enrolled_system(config, rng)
     segment = config.segment_samples
-    workers = default_num_workers()
     budget_ms = STREAMING_LATENCY_BUDGET_MS
 
     # -- chunk-size RTF study -------------------------------------------------
@@ -1297,11 +1243,7 @@ def run_streaming_rtf_analysis(repetitions: int = 2) -> StreamingRuntimeResult:
         audio = stream_audio[:count]
 
         def coalesced() -> List[List[np.ndarray]]:
-            batch = StreamBatch(
-                system.selector,
-                max_batch_segments=tick_chunk(count, workers, 4),
-                num_workers=workers,
-            )
+            batch = StreamBatch(system.selector)
             protectors = [
                 StreamingProtector(system, stream_batch=batch) for _ in range(count)
             ]
@@ -1339,7 +1281,6 @@ def run_streaming_rtf_analysis(repetitions: int = 2) -> StreamingRuntimeResult:
         segment_samples=segment,
         hop_length=config.hop_length,
         latency_budget_ms=budget_ms,
-        num_workers=workers,
         chunk_timings=chunk_timings,
         scaling_timings=scaling_timings,
     )

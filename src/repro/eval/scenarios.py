@@ -13,8 +13,7 @@ protected speaker (Bob) the way the paper claims.  A cell's verdict is
 ``min_target_sdr_drop_db``; otherwise the cell **breaks** the claim.
 
 Execution shape (the repo's standard eval fast path): one audible mixture per
-crowd size is built serially, every protection goes through the batched driver
-(:func:`repro.eval.common.batched_protections`), and the per-cell channel
+crowd size is built and protected serially, and the per-cell channel
 simulation + metrics run as pure ``(index, cell)`` functions under
 :func:`repro.eval.common.run_sharded` — so a full grid is one invocation,
 bit-identical for any worker count.
@@ -41,7 +40,6 @@ from repro.dsp.resample import resample
 from repro.eval.adversary import ADVERSARY_TABLE, get_adversary
 from repro.eval.common import (
     ExperimentContext,
-    batched_protections,
     derive_seed,
     prepare_context,
     run_sharded,
@@ -391,13 +389,13 @@ class _PreparedScene:
     bob: AudioSignal
     others: List[AudioSignal]
     mixed: AudioSignal
-    protection: Optional[ProtectionResult] = None
+    protection: ProtectionResult
 
 
 def _prepare_scene(
     context: ExperimentContext, crowd_size: int, scene_index: int, seed: int, snr_db: float
 ) -> _PreparedScene:
-    """Build the audible scene for one crowd size (shared by all its cells).
+    """Build and protect the audible scene of one crowd size (shared by its cells).
 
     The mixture depends only on the crowd size — never on room, motion, angle,
     carrier or adversary — so one protection per crowd size covers the whole
@@ -422,6 +420,7 @@ def _prepare_scene(
         bob=bob,
         others=others,
         mixed=mixed,
+        protection=context.system_for(target).protect(mixed),
     )
 
 
@@ -436,12 +435,7 @@ def _measure_cell(
     recognizer,
     wer_mode: str,
 ) -> CellResult:
-    """Simulate one cell's channel and score the claim — pure in ``cell_seed``.
-
-    Shared verbatim by the sharded grid runner and the looped reference
-    runner (the trajectory benchmark's baseline), so the two are bit-identical
-    by construction.
-    """
+    """Simulate one cell's channel and score the claim — pure in ``cell_seed``."""
     room = get_room(cell.room)
     motion = get_motion(cell.motion)
     adversary = get_adversary(cell.adversary)
@@ -449,7 +443,6 @@ def _measure_cell(
     speaker = UltrasoundSpeaker(
         carrier_hz=carrier_khz * 1000.0, power_coefficient=config.power_coefficient
     )
-    assert scene.protection is not None
     broadcast = speaker.broadcast(scene.protection.shadow_wave)
 
     # Bob and the NEC transmitter are co-located (Bob carries the device),
@@ -541,39 +534,6 @@ def _build_recognizer(device: str, wer_mode: str, seed: int):
     return TemplateRecognizer(sample_rate=recording_rate, seed=seed)
 
 
-def _prepare_scenes(
-    context: ExperimentContext,
-    cells: List[ScenarioCell],
-    seed: int,
-    snr_db: float,
-    batched: bool,
-) -> Dict[int, _PreparedScene]:
-    """One scene per crowd size, protected either batched or one-by-one.
-
-    The batched path routes all mixtures through :func:`batched_protections`;
-    the looped path calls ``protect`` per scene — the batched engine pins the
-    two bit-identical, which is what lets the trajectory benchmark gate the
-    grid's fast path against the looped reference.
-    """
-    crowd_sizes = sorted({cell.crowd_size for cell in cells})
-    scenes = {
-        crowd: _prepare_scene(context, crowd, scene_index, seed, snr_db)
-        for scene_index, crowd in enumerate(crowd_sizes)
-    }
-    if batched:
-        protections = batched_protections(
-            context,
-            [(scenes[crowd].target_speaker, scenes[crowd].mixed) for crowd in crowd_sizes],
-        )
-        for crowd, protection in zip(crowd_sizes, protections):
-            scenes[crowd].protection = protection
-    else:
-        for crowd in crowd_sizes:
-            scene = scenes[crowd]
-            scene.protection = context.system_for(scene.target_speaker).protect(scene.mixed)
-    return scenes
-
-
 def run_scenario_grid(
     context: Optional[ExperimentContext] = None,
     grid: Optional[ScenarioGrid] = None,
@@ -587,10 +547,9 @@ def run_scenario_grid(
 ) -> ScenarioGridResult:
     """Run every cell of a :class:`ScenarioGrid` in one invocation.
 
-    Serial phase: one audible mixture per crowd size, all protections through
-    :func:`batched_protections` (one ``protect_batch`` per target speaker).
-    Sharded phase: each cell's channel simulation, adversary and metrics run
-    as a pure function of ``(cell index, cell)`` with
+    Serial phase: one audible mixture per crowd size, each protected by one
+    ``protect`` call.  Sharded phase: each cell's channel simulation,
+    adversary and metrics run as a pure function of ``(cell index, cell)`` with
     :func:`derive_seed`-derived randomness, so results are bit-identical for
     any ``num_workers`` (including the inline default).
 
@@ -604,7 +563,11 @@ def run_scenario_grid(
     thresholds = thresholds if thresholds is not None else ClaimThresholds()
     config = context.config
     cells = grid.cells()
-    scenes = _prepare_scenes(context, cells, seed, snr_db, batched=True)
+    crowd_sizes = sorted({cell.crowd_size for cell in cells})
+    scenes = {
+        crowd: _prepare_scene(context, crowd, scene_index, seed, snr_db)
+        for scene_index, crowd in enumerate(crowd_sizes)
+    }
     recognizer = _build_recognizer(device, wer_mode, seed)
 
     def measure(index: int, cell: ScenarioCell) -> CellResult:
@@ -621,41 +584,4 @@ def run_scenario_grid(
         )
 
     results = run_sharded(measure, cells, num_workers=num_workers)
-    return ScenarioGridResult(grid=grid, thresholds=thresholds, cells=results)
-
-
-def run_scenario_grid_looped(
-    context: ExperimentContext,
-    grid: ScenarioGrid,
-    distance_m: float = 0.5,
-    device: str = "Moto Z4",
-    snr_db: float = 0.0,
-    thresholds: Optional[ClaimThresholds] = None,
-    wer_mode: str = "none",
-    seed: int = 0,
-) -> ScenarioGridResult:
-    """Reference implementation: protect per scene, evaluate cells one by one.
-
-    Kept as the numerical ground truth the batched+sharded grid runner is
-    equivalence-gated against in the ``scenario_grid`` kernel of the
-    performance-trajectory benchmark.
-    """
-    thresholds = thresholds if thresholds is not None else ClaimThresholds()
-    cells = grid.cells()
-    scenes = _prepare_scenes(context, cells, seed, snr_db, batched=False)
-    recognizer = _build_recognizer(device, wer_mode, seed)
-    results = [
-        _measure_cell(
-            cell,
-            scenes[cell.crowd_size],
-            derive_seed(seed, index),
-            context.config,
-            distance_m,
-            device,
-            thresholds,
-            recognizer,
-            wer_mode,
-        )
-        for index, cell in enumerate(cells)
-    ]
     return ScenarioGridResult(grid=grid, thresholds=thresholds, cells=results)

@@ -16,9 +16,9 @@ IntPair = Union[int, Tuple[int, int]]
 
 #: This thread's im2col scratch: one grow-only flat buffer per (role, dtype).
 #: A fresh multi-megabyte column matrix page-faults on every layer, so the
-#: gather recycles one warm buffer instead.  Thread-local because the
-#: coalescing tick may run independent chunks on worker threads that share
-#: the layer objects.
+#: gather recycles one warm buffer instead.  Thread-local because callers'
+#: threads (a serving tick thread next to direct ``protect`` calls, say) may
+#: run inference through the same layer objects at once.
 _scratch = threading.local()
 
 

@@ -32,14 +32,12 @@ import numpy as np
 from repro.audio.signal import AudioSignal
 from repro.core.config import NECConfig
 from repro.core.pipeline import NECSystem
-from repro.core.selector import default_num_workers
 from repro.eval.reporting import format_table
 from repro.eval.runtime import (
     STREAMING_LATENCY_BUDGET_MS,
     bit_identical,
     direct_stream_waves,
     serve_streams,
-    tick_chunk,
 )
 from repro.serving.registry import EnrollmentRegistry
 from repro.serving.service import ProtectionService
@@ -74,7 +72,6 @@ class ServingResult:
     sample_rate: int
     segment_samples: int
     latency_budget_ms: float
-    num_workers: int
     registry_round_trip: bool           # service ran on save->fresh-load weights
     points: List[ServingPoint] = field(default_factory=list)
 
@@ -125,7 +122,6 @@ class ServingResult:
             "sample_rate": self.sample_rate,
             "segment_samples": self.segment_samples,
             "latency_budget_ms": self.latency_budget_ms,
-            "num_workers": self.num_workers,
             "registry_round_trip": self.registry_round_trip,
             "all_equivalent": self.all_equivalent,
             "budget_violations": self.budget_violations,
@@ -159,7 +155,6 @@ def run_serving_analysis(registry_root: Optional[str] = None) -> ServingResult:
     segment = config.segment_samples
     segments_per_stream = 2
     stream_counts = (1, 8, 64)
-    workers = default_num_workers()
 
     system = NECSystem(config, seed=0)
     tenant_ids = [f"tenant{index:02d}" for index in range(4)]
@@ -200,10 +195,7 @@ def run_serving_analysis(registry_root: Optional[str] = None) -> ServingResult:
 
             # -- the service pass: live tick thread, per-segment latency.
             with ProtectionService(
-                registry,
-                max_batch_segments=tick_chunk(count, workers, 16),
-                num_workers=workers,
-                latency_budget_ms=STREAMING_LATENCY_BUDGET_MS,
+                registry, latency_budget_ms=STREAMING_LATENCY_BUDGET_MS
             ) as service:
                 service_waves, latencies_ms, elapsed, violations = serve_streams(
                     service, tenants, audio, segment
@@ -233,7 +225,6 @@ def run_serving_analysis(registry_root: Optional[str] = None) -> ServingResult:
         sample_rate=config.sample_rate,
         segment_samples=segment,
         latency_budget_ms=STREAMING_LATENCY_BUDGET_MS,
-        num_workers=workers,
         registry_round_trip=bool(round_trip),
         points=points,
     )

@@ -30,22 +30,17 @@ class TickLoop:
 
     ``poll_interval_s`` bounds how long a submitted segment can sit unticked
     if a producer forgets to :meth:`wake` — it is a safety net, not the
-    scheduling mechanism.  ``coalesce_window_s`` (off by default) delays each
-    tick slightly after a wakeup so that near-simultaneous submissions from
-    many sessions merge into one larger batch; latency-sensitive deployments
-    leave it at zero.
+    scheduling mechanism.
     """
 
     def __init__(
         self,
         batch: StreamBatch,
         poll_interval_s: float = 0.05,
-        coalesce_window_s: float = 0.0,
         name: str = "nec-tick-loop",
     ) -> None:
         self.batch = batch
         self.poll_interval_s = float(poll_interval_s)
-        self.coalesce_window_s = float(coalesce_window_s)
         self._name = name
         self._thread: Optional[threading.Thread] = None
         self._wake_cond = threading.Condition()
@@ -167,8 +162,6 @@ class TickLoop:
                 if stopping:
                     break
                 if self.batch.pending_requests:
-                    if self.coalesce_window_s > 0:
-                        time.sleep(self.coalesce_window_s)
                     self._tick_once()
             if self._drain_on_stop:
                 while self.batch.pending_requests:

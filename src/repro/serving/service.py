@@ -17,7 +17,7 @@ Because coalescing is bit-transparent (each batched row equals the dedicated
 single-stream pass exactly), the service's shadow waves are bit-identical to
 running a private :class:`~repro.core.pipeline.StreamingProtector` per
 stream; the batch only buys throughput.  Shutdown is graceful: the loop
-drains every submitted segment, the worker pool is closed
+drains every submitted segment, the batch is closed
 (:meth:`StreamBatch.close`), and closed sessions can still collect.
 """
 
@@ -34,7 +34,7 @@ from repro.core.pipeline import NECSystem
 from repro.core.selector import StreamBatch
 from repro.serving.loop import TickLoop
 from repro.serving.registry import EnrollmentRegistry
-from repro.serving.session import ProtectionSession, SessionState
+from repro.serving.session import ProtectionSession
 
 
 @dataclass
@@ -81,10 +81,7 @@ class ProtectionService:
         self,
         registry: EnrollmentRegistry,
         system: Optional[NECSystem] = None,
-        max_batch_segments: int = 16,
-        num_workers: Optional[int] = None,
         poll_interval_s: float = 0.05,
-        coalesce_window_s: float = 0.0,
         latency_budget_ms: Optional[float] = None,
         autostart: bool = True,
     ) -> None:
@@ -96,15 +93,8 @@ class ProtectionService:
         self.system = system
         self.config: NECConfig = system.config
         self.latency_budget_ms = latency_budget_ms
-        kwargs = {} if num_workers is None else {"num_workers": num_workers}
-        self.batch = StreamBatch(
-            system.selector, max_batch_segments=max_batch_segments, **kwargs
-        )
-        self.loop = TickLoop(
-            self.batch,
-            poll_interval_s=poll_interval_s,
-            coalesce_window_s=coalesce_window_s,
-        )
+        self.batch = StreamBatch(system.selector)
+        self.loop = TickLoop(self.batch, poll_interval_s=poll_interval_s)
         self.stats = ServiceStats()
         self._sessions: Dict[str, ProtectionSession] = {}
         self._shutdown = False
@@ -188,23 +178,35 @@ class ProtectionService:
         )
 
     def shutdown(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Graceful teardown: close sessions, drain the loop, free the pool.
+        """Graceful teardown: close sessions, drain and stop the loop, close the batch.
 
         With ``drain`` (default) every open session is flushed and drained —
         its remaining results land in ``session.drained_results`` — and every
         submitted segment gets its Selector pass before the tick thread exits.
-        The worker pool is always reclaimed (:meth:`StreamBatch.close`).
-        Idempotent.
+
+        Teardown always completes: if draining fails (the tick loop died, or a
+        session timed out), the remaining sessions close without draining,
+        every session ends CLOSED, the loop stops and the batch closes — and
+        only then is the first failure raised, once.  Idempotent.
         """
         if self._shutdown:
             return
         self._shutdown = True
+        failure: Optional[Exception] = None
         for session in list(self._sessions.values()):
-            if session.state is not SessionState.CLOSED:
-                session.close(drain=drain, timeout=timeout)
-        self.loop.shutdown(drain=drain, timeout=timeout)
+            try:
+                session.close(drain=drain and failure is None, timeout=timeout)
+            except Exception as exc:  # noqa: BLE001 - re-raised after teardown
+                failure = failure or exc
+                session.close(drain=False)
+        try:
+            self.loop.shutdown(drain=drain and failure is None, timeout=timeout)
+        except Exception as exc:  # noqa: BLE001 - re-raised after teardown
+            failure = failure or exc
         self._harvest_stats()
         self.batch.close()
+        if failure is not None:
+            raise failure
 
     def _harvest_stats(self) -> None:
         self.stats.ticks = self.batch.ticks

@@ -41,10 +41,10 @@ def test_eval_fastpath_payload():
 def test_streaming_payload():
     chunk = StreamChunkTiming(0.01, 160, 10, 1.0, 2.0, 0.1, 300.0, 0, True)
     scaling = StreamScalingTiming(8, 2, 20.0, 10.0, 0.5, True)
-    payload = StreamingRuntimeResult(16000, 16000, 160, 300.0, 2, [chunk], [scaling]).to_dict()
+    payload = StreamingRuntimeResult(16000, 16000, 160, 300.0, [chunk], [scaling]).to_dict()
     assert set(payload) == {
         "benchmark", "sample_rate", "segment_samples", "hop_length", "latency_budget_ms",
-        "num_workers", "all_equivalent", "budget_violations", "max_streams_rtf_below_1",
+        "all_equivalent", "budget_violations", "max_streams_rtf_below_1",
         "projected_max_streams_per_core", "chunks", "scaling",
     }
     assert set(payload["chunks"][0]) == {
@@ -61,9 +61,9 @@ def test_streaming_payload():
 
 def test_serving_payload():
     point = ServingPoint(8, 4, 16, 10.0, 20.0, 12.0, 25.0, 4.0, 0.25, 8.0, 0, True)
-    payload = ServingResult(16000, 16000, 300.0, 2, True, [point]).to_dict()
+    payload = ServingResult(16000, 16000, 300.0, True, [point]).to_dict()
     assert set(payload) == {
-        "benchmark", "sample_rate", "segment_samples", "latency_budget_ms", "num_workers",
+        "benchmark", "sample_rate", "segment_samples", "latency_budget_ms",
         "registry_round_trip", "all_equivalent", "budget_violations", "points",
     }
     assert set(payload["points"][0]) == {

@@ -310,7 +310,7 @@ class TestRecognizerFastpath:
 
 
 # ---------------------------------------------------------------------------
-# Batched eval driver + summary single pass
+# Overall benchmark vs the per-instance protect loop + summary single pass
 # ---------------------------------------------------------------------------
 class TestBatchedDriver:
     @pytest.fixture(scope="class")
@@ -318,23 +318,6 @@ class TestBatchedDriver:
         from repro.eval.common import prepare_context
 
         return prepare_context(num_speakers=4, num_targets=2, train=False, seed=0)
-
-    def test_driver_bit_identical_to_per_instance_protect(self, context):
-        from repro.eval.common import batched_protections
-
-        rng = np.random.default_rng(0)
-        duration = 2.0 * context.config.segment_seconds
-        # Interleave the two speakers to exercise grouping + order restoration.
-        jobs = []
-        for index in range(4):
-            speaker = context.target_speakers[index % 2]
-            jobs.append((speaker, context.corpus.utterance(speaker, seed=index, duration=duration).audio))
-        batched = batched_protections(context, jobs)
-        for (speaker, audio), result in zip(jobs, batched):
-            reference = context.system_for(speaker).protect(audio)
-            np.testing.assert_array_equal(reference.shadow_wave.data, result.shadow_wave.data)
-            np.testing.assert_array_equal(reference.shadow_spectrogram, result.shadow_spectrogram)
-            np.testing.assert_array_equal(reference.record_spectrogram, result.record_spectrogram)
 
     def test_overall_benchmark_matches_per_instance_path(self, context):
         """The refactored benchmark equals the seed's per-instance loop."""
@@ -372,13 +355,11 @@ class TestBatchedDriver:
         the pre-refactor path within 1e-8 on every SDR/WER value.
 
         The seed path is reconstructed in-process from the kept reference
-        kernels: per-instance ``protect`` instead of the batched driver, the
-        sequential ``istft_reference`` inside shadow reconstruction, and the
-        per-template DTW loop inside the recogniser — so both paths see the
-        exact same context, dataset and template bank.
+        kernels: the sequential ``istft_reference`` inside shadow
+        reconstruction and the per-template DTW loop inside the recogniser —
+        so both paths see the exact same context, dataset and template bank.
         """
         import repro.core.overshadow as overshadow
-        import repro.eval.overall as overall
         from repro.dsp.stft import istft_reference
         from repro.eval.datasets import compile_benchmark_dataset
         from repro.eval.overall import run_overall_benchmark
@@ -402,11 +383,6 @@ class TestBatchedDriver:
         )
 
         monkeypatch.setattr(overshadow, "istft", istft_reference)
-        monkeypatch.setattr(
-            overall,
-            "batched_protections",
-            lambda ctx, jobs, **kw: [ctx.system_for(s).protect(a) for s, a in jobs],
-        )
         monkeypatch.setattr(
             TemplateRecognizer,
             "_classify_segment",

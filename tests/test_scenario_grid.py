@@ -7,8 +7,7 @@ mechanics on an untrained context so it stays test-suite cheap:
 * the declarative grid expands in the documented fixed order (seed contract);
 * cell validation rejects unknown axis values up front;
 * adversaries are pure, seedable transforms;
-* the grid runner is bit-identical across worker counts and equal to the
-  looped reference implementation;
+* the grid runner is bit-identical across worker counts;
 * the JSON report round-trips with a consistent summary.
 """
 
@@ -25,12 +24,7 @@ from repro.eval.adversary import (
     get_adversary,
 )
 from repro.eval.common import prepare_context
-from repro.eval.scenarios import (
-    ScenarioCell,
-    ScenarioGrid,
-    run_scenario_grid,
-    run_scenario_grid_looped,
-)
+from repro.eval.scenarios import ScenarioCell, ScenarioGrid, run_scenario_grid
 
 
 @pytest.fixture(scope="module")
@@ -159,12 +153,6 @@ class TestRunner:
     def test_bit_identical_across_worker_counts(self, context, small_grid, grid_result):
         sharded = run_scenario_grid(context, small_grid, num_workers=2, seed=0)
         assert [r.to_dict() for r in sharded.cells] == [
-            r.to_dict() for r in grid_result.cells
-        ]
-
-    def test_looped_reference_matches_batched_runner(self, context, small_grid, grid_result):
-        looped = run_scenario_grid_looped(context, small_grid, seed=0)
-        assert [r.to_dict() for r in looped.cells] == [
             r.to_dict() for r in grid_result.cells
         ]
 

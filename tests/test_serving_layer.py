@@ -10,7 +10,8 @@ The load-bearing contracts:
   bit-identical to a dedicated immediate-mode ``StreamingProtector`` per
   stream.
 - **Graceful lifecycle** — closing sessions/services drains every submitted
-  segment, reclaims the tick and worker threads, and refuses further feeds.
+  segment, reclaims the tick thread, and refuses further feeds; a failed tick
+  loop still leaves a fully torn-down service behind.
 """
 
 import subprocess
@@ -177,7 +178,7 @@ class TestEnrollmentRegistry:
 
 class TestTickLoop:
     def test_wake_drives_a_tick(self, system, tiny_config):
-        batch = StreamBatch(system.selector, num_workers=1)
+        batch = StreamBatch(system.selector)
         loop = TickLoop(batch, poll_interval_s=0.01).start()
         try:
             spec = np.zeros((1, *tiny_config.spectrogram_shape))
@@ -189,7 +190,7 @@ class TestTickLoop:
             batch.close()
 
     def test_poll_fallback_ticks_without_wake(self, system, tiny_config):
-        batch = StreamBatch(system.selector, num_workers=1)
+        batch = StreamBatch(system.selector)
         loop = TickLoop(batch, poll_interval_s=0.01).start()
         try:
             request = batch.submit(
@@ -202,7 +203,7 @@ class TestTickLoop:
             batch.close()
 
     def test_shutdown_drains_pending_work(self, system, tiny_config):
-        batch = StreamBatch(system.selector, num_workers=1)
+        batch = StreamBatch(system.selector)
         loop = TickLoop(batch, poll_interval_s=5.0).start()  # too slow to poll
         requests = [
             batch.submit(
@@ -220,7 +221,7 @@ class TestTickLoop:
             def shadow_spectrogram_batch(self, specs, vectors):
                 raise RuntimeError("boom")
 
-        batch = StreamBatch(Exploding(), num_workers=1)
+        batch = StreamBatch(Exploding())
         loop = TickLoop(batch, poll_interval_s=0.01).start()
         try:
             batch.submit(
@@ -347,16 +348,15 @@ class TestProtectionService:
         assert total.size == samples.size
 
     def test_shutdown_reclaims_all_threads(self, tiny_config, system, tmp_path):
-        """The tick thread and the StreamBatch worker pool must not leak."""
+        """The tick thread must not leak."""
         before = threading.active_count()
-        service = _make_service(tiny_config, system, tmp_path, num_workers=2)
+        service = _make_service(tiny_config, system, tmp_path)
         session = service.open_session("alice")
-        # Enough segments in one feed to force the threaded tick fan-out.
         session.feed(
             np.zeros(4 * tiny_config.segment_samples),
         )
         session.collect(wait=True, timeout=60.0)
-        assert threading.active_count() > before  # loop (and maybe pool) alive
+        assert threading.active_count() > before  # the tick loop is alive
         service.shutdown(timeout=60.0)
         deadline = time.monotonic() + 30.0
         while threading.active_count() > before and time.monotonic() < deadline:
@@ -366,6 +366,29 @@ class TestProtectionService:
         with pytest.raises(RuntimeError):
             service.open_session("alice")
         service.shutdown()  # idempotent
+
+    def test_shutdown_after_tick_failure_tears_down_then_raises_once(
+        self, tiny_config, system, tmp_path, monkeypatch
+    ):
+        """A dead tick loop must not leave sessions half closed or the batch open."""
+        segment = tiny_config.segment_samples
+        service = _make_service(tiny_config, system, tmp_path)
+        sessions = [service.open_session(tenant) for tenant in ("alice", "bob")]
+
+        def explode(specs, vectors):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(service.system.selector, "shadow_spectrogram_batch", explode)
+        for session in sessions:
+            session.feed(np.zeros(segment))
+        with pytest.raises(RuntimeError, match="tick loop failed") as raised:
+            service.shutdown(timeout=60.0)
+        assert isinstance(raised.value.__cause__, ValueError)
+        assert [session.state for session in sessions] == [SessionState.CLOSED] * 2
+        assert service.sessions() == []
+        assert not service.loop.running
+        assert service.batch.closed
+        service.shutdown()  # the failure was reported once; teardown is done
 
     def test_shutdown_drains_open_sessions(self, tiny_config, system, tmp_path):
         segment = tiny_config.segment_samples

@@ -371,25 +371,20 @@ class TestStreamBatch:
         assert empty.done and empty.shadow_spectrograms.shape[0] == 0
         assert real.done and real.shadow_spectrograms.shape == spectrogram.shape
 
-    def test_close_reclaims_worker_threads(self, system, tiny_config):
-        """Regression: the tick fan-out pool leaked its threads for the
-        lifetime of the process; ``close()`` must shut it down."""
-        segment = tiny_config.segment_samples
+    def test_tick_starts_no_threads(self, system, tiny_config):
+        """Thread policy: a tick runs its chunks on the calling thread.
+
+        BLAS owns intra-op parallelism; the batch must not add a pool of its
+        own, however many chunks a tick splits into.
+        """
+        frequency_bins, frames = tiny_config.spectrogram_shape
+        specs = np.abs(np.random.default_rng(70).normal(size=(40, frequency_bins, frames)))
         before = threading.active_count()
-        with StreamBatch(system.selector, max_batch_segments=1, num_workers=2) as batch:
-            for index in range(4):
-                spectrogram = np.abs(
-                    stft(
-                        _noise(segment, seed=70 + index),
-                        tiny_config.n_fft,
-                        tiny_config.win_length,
-                        tiny_config.hop_length,
-                    )
-                )[None, :, :]
-                batch.submit(spectrogram, system.embedding)
-            batch.tick()
-            assert threading.active_count() > before  # pool spun up
-        assert threading.active_count() == before  # ...and reclaimed
+        with StreamBatch(system.selector, max_batch_segments=4) as batch:
+            requests = [batch.submit(specs[row : row + 1], system.embedding) for row in range(40)]
+            assert batch.tick() == 40
+            assert threading.active_count() == before
+        assert all(request.done for request in requests)
         assert batch.closed
 
     def test_submit_after_close_raises(self, system, tiny_config):
@@ -415,12 +410,12 @@ class TestStreamBatch:
                 specs, np.zeros((1, 1, tiny_config.embedding_dim))
             )
 
-    def test_serial_and_threaded_ticks_match(self, system, tiny_config):
+    def test_chunked_tick_matches_single_pass(self, system, tiny_config):
         segment = tiny_config.segment_samples
-        serial = StreamBatch(system.selector, max_batch_segments=2, num_workers=1)
-        threaded = StreamBatch(system.selector, max_batch_segments=2, num_workers=4)
-        serial_requests = []
-        threaded_requests = []
+        chunked = StreamBatch(system.selector, max_batch_segments=2)
+        single = StreamBatch(system.selector)
+        chunked_requests = []
+        single_requests = []
         for index in range(6):
             spectrogram = np.abs(
                 stft(
@@ -430,11 +425,10 @@ class TestStreamBatch:
                     tiny_config.hop_length,
                 )
             )[None, :, :]
-            serial_requests.append(serial.submit(spectrogram, system.embedding))
-            threaded_requests.append(threaded.submit(spectrogram, system.embedding))
-        serial.tick()
-        threaded.tick()
-        for a, b in zip(serial_requests, threaded_requests):
+            chunked_requests.append(chunked.submit(spectrogram, system.embedding))
+            single_requests.append(single.submit(spectrogram, system.embedding))
+        assert chunked.tick() == single.tick() == 6
+        for a, b in zip(chunked_requests, single_requests):
             np.testing.assert_array_equal(a.shadow_spectrograms, b.shadow_spectrograms)
 
 

@@ -72,8 +72,7 @@ def test_stream_batch_tick_of_64_streams(system):
     rng = np.random.default_rng(1)
     freq_bins, frames = system.config.spectrogram_shape
     specs = np.abs(rng.normal(size=(64, freq_bins, frames)))
-    # One worker: each tick worker thread holds its own scratch and chunk.
-    with StreamBatch(system.selector, max_batch_segments=CHUNK, num_workers=1) as batch:
+    with StreamBatch(system.selector, max_batch_segments=CHUNK) as batch:
         for stream in range(64):  # one segment per stream
             batch.submit(specs[stream : stream + 1], system.embedding)
         peak = _peak_bytes(batch.tick)
@@ -95,7 +94,7 @@ def test_protect_batch_of_22_segments(system):
 def test_stream_stats_stay_flat_over_many_ticks(system):
     """Tick and emit stats are running counters: 10^5 ticks keep no history."""
     stats = StreamLatencyStats()
-    with StreamBatch(system.selector, num_workers=1) as batch:
+    with StreamBatch(system.selector) as batch:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
